@@ -21,6 +21,7 @@
 #include "product/product_ctmc.hpp"
 #include "util/bitset.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -370,6 +371,36 @@ void bm_bitset_minimize_industrial(benchmark::State& state) {
 BENCHMARK(bm_bitset_minimize_industrial)
     ->Arg(0)
     ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
+
+// --- MOCUS on the industrial tree --------------------------------------------
+// The CI perf-smoke job runs the MOCUS rows via --benchmark_filter=mocus
+// and archives the JSON as BENCH_mocus.json (no thresholds; trend data
+// only). Arg is the thread count: 1 runs the serial driver, 4 the sharded
+// parallel one; the visited-table counters show what deduplication held.
+
+void bm_mocus_industrial(benchmark::State& state) {
+  thread_pool pool(static_cast<std::size_t>(state.range(0)));
+  mocus_options opts;
+  opts.cutoff = 1e-15;
+  opts.pool = &pool;
+  mocus_result result;
+  for (auto _ : state) {
+    result = mocus(industrial_static(), opts);
+    benchmark::DoNotOptimize(result.cutsets.size());
+  }
+  state.counters["cutsets"] = static_cast<double>(result.cutsets.size());
+  state.counters["mocus.partials_expanded"] =
+      static_cast<double>(result.partials_processed);
+  state.counters["mocus.visited_entries"] =
+      static_cast<double>(result.visited_entries);
+  state.counters["mocus.visited_bytes"] =
+      static_cast<double>(result.visited_bytes);
+}
+BENCHMARK(bm_mocus_industrial)
+    ->Arg(1)
+    ->Arg(4)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void bm_bitset_subset_kernel(benchmark::State& state) {

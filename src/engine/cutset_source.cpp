@@ -59,7 +59,8 @@ cutset_generation mocus_source::generate(const fault_tree& ft, double cutoff,
   out.partials_processed = mcs.partials_processed;
   out.discarded = mcs.cutoff_discarded;
   out.subset_tests = mcs.subset_tests;
-  out.bitset_words = mcs.key_words;
+  out.visited_entries = mcs.visited_entries;
+  out.visited_bytes = mcs.visited_bytes;
   out.cutsets = std::move(mcs.cutsets);
   sort_cutsets_canonically(out.cutsets);
   return out;

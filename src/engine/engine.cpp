@@ -198,7 +198,8 @@ analysis_engine::acquired_structure analysis_engine::acquire(
     stats.source_discarded = acq.generation.discarded;
     stats.bdd_nodes = acq.generation.bdd_nodes;
     stats.subset_tests = acq.generation.subset_tests;
-    stats.bitset_words = acq.generation.bitset_words;
+    stats.visited_entries = acq.generation.visited_entries;
+    stats.visited_bytes = acq.generation.visited_bytes;
     stats.bdd_sift_swaps = acq.generation.sift_swaps;
     if (pool != nullptr) {
       const pool_counters after_generate = pool->counters();

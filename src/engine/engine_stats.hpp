@@ -58,7 +58,8 @@ struct engine_stats {
   std::size_t source_discarded = 0;  ///< cutoff-discarded partials / MCSs
   std::size_t bdd_nodes = 0;         ///< BDD nodes compiled (bdd backend)
   std::size_t subset_tests = 0;      ///< packed subsumption tests (MOCUS)
-  std::size_t bitset_words = 0;      ///< widest packed key, 64-bit words
+  std::size_t visited_entries = 0;   ///< peak MOCUS visited-table entries
+  std::size_t visited_bytes = 0;     ///< peak MOCUS visited-table bytes
   std::size_t bdd_sift_swaps = 0;    ///< sifting swaps (bdd + sift only)
 
   // Quantifier counters.
@@ -172,7 +173,8 @@ struct engine_stats {
     source_discarded += o.source_discarded;
     bdd_nodes += o.bdd_nodes;
     subset_tests += o.subset_tests;
-    bitset_words = std::max(bitset_words, o.bitset_words);
+    visited_entries = std::max(visited_entries, o.visited_entries);
+    visited_bytes = std::max(visited_bytes, o.visited_bytes);
     bdd_sift_swaps += o.bdd_sift_swaps;
     static_cutsets += o.static_cutsets;
     dynamic_cutsets += o.dynamic_cutsets;
@@ -266,7 +268,8 @@ struct engine_stats {
         {"mocus.partials_expanded", n(source_partials)},
         {"mocus.cutoff_discarded", n(source_discarded)},
         {"mocus.subset_tests", n(subset_tests)},
-        {"bitset.words", n(bitset_words)},
+        {"mocus.visited_entries", n(visited_entries)},
+        {"mocus.visited_bytes", n(visited_bytes)},
         {"bdd.nodes", n(bdd_nodes)},
         {"bdd.sift_swaps", n(bdd_sift_swaps)},
         {"engine.exact_static_seconds", exact_static_seconds},

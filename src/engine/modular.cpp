@@ -1,6 +1,7 @@
 #include "engine/modular.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -105,20 +106,53 @@ module_task build_task(const prep_result& prep, node_index m,
   return task;
 }
 
+/// Relative slack of the recombination pruning. A combination's running
+/// product multiplies per-module products in another order than the
+/// exact filter's sorted-order product, so the two may differ in the last
+/// bits; the slack keeps every combination whose exact product could
+/// reach the cutoff, and the exact filter still decides each survivor.
+constexpr double prune_slack = 1e-9;
+
+/// A module's expanded cutsets (prep basic-event space, canonical order)
+/// with each cutset's probability and the indices by decreasing
+/// probability, for the pruned recombination.
+struct module_cutsets {
+  std::vector<cutset> cutsets;
+  std::vector<double> probability;  ///< cutset_probability per cutset
+  std::vector<std::size_t> by_probability;  ///< indices, most probable first
+
+  double max_probability() const {
+    return by_probability.empty() ? 0.0 : probability[by_probability[0]];
+  }
+};
+
 /// Substitutes nested modules' expanded cutset lists into one module's
-/// local cutsets (cartesian product per quotient cutset); returns the
+/// local cutsets (cartesian product per quotient cutset) and returns the
 /// module's cutsets over prep basic events, canonically ordered.
+///
+/// With a cutoff, each combination carries its probability product and is
+/// bounded by the product of the remaining nested modules' maxima. Every
+/// extension of a combination is at most that bound, so the loop over a
+/// module's cutsets (most probable first) stops at the first one whose
+/// bound falls below cutoff × (1 − prune_slack): no cutset it would have
+/// built can pass the exact filter — cutset probabilities only shrink as
+/// events are added.
 std::vector<cutset> substitute(const module_task& task,
                                std::vector<cutset> local_cutsets,
                                const std::unordered_map<node_index,
                                                         std::size_t>& slot_of,
-                               const std::vector<std::vector<cutset>>&
-                                   expanded) {
+                               const std::vector<module_cutsets>& expanded,
+                               const fault_tree& tree, double cutoff) {
+  const double threshold = cutoff * (1.0 - prune_slack);
   std::vector<cutset> out;
   out.reserve(local_cutsets.size());
+  std::vector<std::size_t> nested;
+  std::vector<double> rest_max;  // rest_max[d]: product of maxima from d on
+  std::vector<std::size_t> pos;  // per nested module: by_probability rank
+  std::vector<double> product;   // product[d]: base times choices before d
   for (const cutset& lc : local_cutsets) {
     cutset base;
-    std::vector<std::size_t> nested;
+    nested.clear();
     for (node_index local_event : lc) {
       const node_index e = task.to_prep[local_event];
       const auto it = e != task.root ? slot_of.find(e) : slot_of.end();
@@ -133,22 +167,53 @@ std::vector<cutset> substitute(const module_task& task,
       out.push_back(std::move(base));
       continue;
     }
-    std::vector<cutset> acc{std::move(base)};
-    for (std::size_t slot : nested) {
-      std::vector<cutset> next;
-      next.reserve(acc.size() * expanded[slot].size());
-      for (const cutset& a : acc) {
-        for (const cutset& mc : expanded[slot]) {
-          cutset merged;
-          merged.resize(a.size() + mc.size());
-          std::merge(a.begin(), a.end(), mc.begin(), mc.end(),
-                     merged.begin());
-          next.push_back(std::move(merged));
+    const std::size_t k = nested.size();
+    rest_max.assign(k + 1, 1.0);
+    for (std::size_t j = k; j-- > 0;) {
+      rest_max[j] = rest_max[j + 1] * expanded[nested[j]].max_probability();
+    }
+    pos.assign(k, 0);
+    product.assign(k + 1, cutset_probability(tree, base));
+    // Odometer over the nested modules' cutsets, most probable first at
+    // every digit; `j` is the digit being advanced.
+    std::size_t j = 0;
+    while (true) {
+      const module_cutsets& m = expanded[nested[j]];
+      bool placed = false;
+      if (pos[j] < m.by_probability.size()) {
+        const std::size_t i = m.by_probability[pos[j]];
+        const double p = product[j] * m.probability[i];
+        if (cutoff == 0.0 || p * rest_max[j + 1] >= threshold) {
+          product[j + 1] = p;
+          placed = true;
         }
       }
-      acc = std::move(next);
+      if (!placed) {
+        // Exhausted or pruned: every later choice at this digit is less
+        // probable. Backtrack to the previous digit's next choice.
+        if (j == 0) break;
+        --j;
+        ++pos[j];
+        continue;
+      }
+      if (j + 1 < k) {
+        ++j;
+        pos[j] = 0;
+        continue;
+      }
+      cutset merged = base;
+      for (std::size_t d = 0; d < k; ++d) {
+        const module_cutsets& md = expanded[nested[d]];
+        const cutset& mc = md.cutsets[md.by_probability[pos[d]]];
+        const std::size_t mid = merged.size();
+        merged.insert(merged.end(), mc.begin(), mc.end());
+        std::inplace_merge(merged.begin(),
+                           merged.begin() + static_cast<std::ptrdiff_t>(mid),
+                           merged.end());
+      }
+      out.push_back(std::move(merged));
+      ++pos[j];
     }
-    for (auto& c : acc) out.push_back(std::move(c));
   }
   sort_cutsets_canonically(out);
   return out;
@@ -182,7 +247,7 @@ modular_generation generate_modular(const prep_result& prep,
 
   // Expanded cutsets (prep basic-event space) and pseudo-event bounds per
   // module, filled in nesting order.
-  std::vector<std::vector<cutset>> expanded(roots.size());
+  std::vector<module_cutsets> expanded(roots.size());
   std::vector<double> bound(roots.size(), 0.0);
   std::vector<module_task> tasks(roots.size());
 
@@ -220,16 +285,30 @@ modular_generation generate_modular(const prep_result& prep,
     out.generation.bdd_nodes += generated.bdd_nodes;
     out.generation.subset_tests += generated.subset_tests;
     out.generation.sift_swaps += generated.sift_swaps;
-    out.generation.bitset_words =
-        std::max(out.generation.bitset_words, generated.bitset_words);
-    expanded[slot] = substitute(tasks[slot], std::move(generated.cutsets),
-                                slot_of, expanded);
-    for (const cutset& c : expanded[slot]) {
-      bound[slot] = std::max(bound[slot], cutset_probability(prep.tree, c));
+    out.generation.visited_entries =
+        std::max(out.generation.visited_entries, generated.visited_entries);
+    out.generation.visited_bytes =
+        std::max(out.generation.visited_bytes, generated.visited_bytes);
+    module_cutsets& m = expanded[slot];
+    m.cutsets = substitute(tasks[slot], std::move(generated.cutsets), slot_of,
+                           expanded, prep.tree, cutoff);
+    if (roots[slot] == prep.tree.top()) return;
+    out.module_cutsets += m.cutsets.size();
+    m.probability.reserve(m.cutsets.size());
+    for (const cutset& c : m.cutsets) {
+      m.probability.push_back(cutset_probability(prep.tree, c));
     }
-    if (roots[slot] != prep.tree.top()) {
-      out.module_cutsets += expanded[slot].size();
-    }
+    m.by_probability.resize(m.cutsets.size());
+    std::iota(m.by_probability.begin(), m.by_probability.end(),
+              std::size_t{0});
+    std::sort(m.by_probability.begin(), m.by_probability.end(),
+              [&](std::size_t a, std::size_t b) {
+                return m.probability[a] > m.probability[b];
+              });
+    // The maximum over the survivors: the true maximum whenever that is
+    // at least cutoff × (1 − prune_slack), and below the cutoff (so
+    // pruning every partial that holds it) otherwise.
+    bound[slot] = m.max_probability();
   };
   for (std::size_t l = 1; l <= max_level; ++l) {
     std::vector<std::size_t> batch;  // small modules, fanned out together
@@ -263,7 +342,7 @@ modular_generation generate_modular(const prep_result& prep,
 
   // Exact cutoff filter over the fully substituted list: pseudo-event
   // bounds only guaranteed conservative keeps; the true products decide.
-  std::vector<cutset> final_cutsets = std::move(expanded.back());
+  std::vector<cutset> final_cutsets = std::move(expanded.back().cutsets);
   if (cutoff > 0.0) {
     const auto below = [&](const cutset& c) {
       return cutset_probability(prep.tree, c) < cutoff;

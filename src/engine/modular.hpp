@@ -33,7 +33,9 @@ struct modular_generation {
 ///  - Modules have pairwise disjoint basic-event support, so substituting
 ///    the minimal cutsets of a module for its pseudo event (cartesian
 ///    product per quotient cutset) preserves minimality and introduces no
-///    duplicates.
+///    duplicates. With a cutoff, the product is walked most probable
+///    first and stops where no remaining combination can reach the
+///    cutoff, so only near-survivors are ever built.
 ///  - A final exact cutoff filter over the fully substituted list removes
 ///    the conservative keeps, leaving exactly the cutsets a non-modular
 ///    run produces; the canonical (size, content) order in SD index space

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <deque>
 #include <mutex>
-#include <unordered_set>
 #include <utility>
 
+#include "mcs/visited_table.hpp"
 #include "obs/obs.hpp"
-#include "util/bitset.hpp"
 #include "util/error.hpp"
 #include "util/sorted_set.hpp"
 #include "util/stopwatch.hpp"
@@ -20,27 +20,13 @@ namespace sdft {
 namespace {
 
 /// A partial cutset: basic events already chosen plus gates still to fail
-/// (paper §IV-B). Both sets are kept sorted for cheap dedup and hashing.
+/// (paper §IV-B). Both sets are kept sorted; together they are the
+/// partial's visited-table key.
 struct partial_cutset {
   std::vector<node_index> events;
   std::vector<node_index> gates;
   double probability = 1.0;  // product over chosen events, in sorted order
 };
-
-/// Key identifying a partial for the visited-set: one packed bitset over
-/// the tree's node-index space. Basic events and gates live in disjoint
-/// index sets, so marking both in the same width-ft.size() bitset loses
-/// nothing, and hashing/equality become word loops (util/bitset.hpp)
-/// instead of element walks over two sorted vectors.
-using partial_key = packed_bitset;
-using partial_key_hash = packed_bitset_hash;
-
-partial_key make_key(const partial_cutset& p, std::size_t width) {
-  partial_key key(width);
-  for (node_index b : p.events) key.set(b);
-  for (node_index g : p.gates) key.set(g);
-  return key;
-}
 
 enum class event_mode : char { free_event, forced_failed, forced_working };
 
@@ -142,8 +128,11 @@ struct expansion {
           return;
         }
       }
-      for (node_index child : gate.inputs) {
-        partial_cutset branch = p;
+      for (std::size_t i = 0; i < gate.inputs.size(); ++i) {
+        const node_index child = gate.inputs[i];
+        // The last branch takes the parent's storage instead of a copy.
+        partial_cutset branch =
+            i + 1 < gate.inputs.size() ? p : std::move(p);
         if (ft.is_basic(child)) {
           if (!add_event(branch, child, discarded)) continue;
         } else {
@@ -179,17 +168,15 @@ struct expansion {
 };
 
 /// The original single-threaded driver: an explicit DFS stack and one
-/// visited set cleared at dedup_limit.
+/// visited table cleared at dedup_limit.
 mocus_result run_serial(const expansion& ex, partial_cutset seed) {
   obs::span_scope span("mocus.serial", "mocus");
-  const std::size_t width = ex.ft.size();
   mocus_result result;
-  result.key_words = partial_key(width).num_words();
   std::vector<partial_cutset> stack;
-  std::unordered_set<partial_key, partial_key_hash> visited;
+  visited_table visited;
   std::vector<cutset> raw_cutsets;
 
-  visited.insert(make_key(seed, width));
+  visited.insert(seed.events, seed.gates);
   stack.push_back(std::move(seed));
 
   std::vector<partial_cutset> children;
@@ -215,16 +202,18 @@ mocus_result run_serial(const expansion& ex, partial_cutset seed) {
         // stack (in the worst case the seed itself) and re-expand its
         // whole region once per clear. Re-priming with the live stack
         // keys makes a clear forget only *finished* work.
+        result.visited_entries =
+            std::max(result.visited_entries, visited.size());
         visited.clear();
         for (const partial_cutset& live : stack) {
-          visited.insert(make_key(live, width));
+          visited.insert(live.events, live.gates);
         }
       }
-      if (visited.insert(make_key(c, width)).second) {
-        stack.push_back(std::move(c));
-      }
+      if (visited.insert(c.events, c.gates)) stack.push_back(std::move(c));
     }
   }
+  result.visited_entries = std::max(result.visited_entries, visited.size());
+  result.visited_bytes = visited.bytes();
 
   span.arg("partials", static_cast<double>(result.partials_processed));
   span.arg("cutsets", static_cast<double>(raw_cutsets.size()));
@@ -253,7 +242,6 @@ class parallel_mocus {
 
   mocus_result run(partial_cutset seed) {
     mocus_result result;
-    result.key_words = partial_key(ex_.ft.size()).num_words();
     mark_visited(seed);
     pool_.submit([this, p = std::move(seed)]() mutable { run_task(std::move(p)); });
     pool_.wait_idle();  // rethrows the numeric_error of a tripped valve
@@ -264,6 +252,10 @@ class parallel_mocus {
       raw.insert(raw.end(), std::make_move_iterator(local.raw.begin()),
                  std::make_move_iterator(local.raw.end()));
     }
+    for (visited_shard& shard : shards_) {
+      result.visited_entries += shard.peak_entries;
+      result.visited_bytes += shard.table.bytes();
+    }
     result.partials_processed = processed_.load(std::memory_order_relaxed);
     result.threads_used = pool_.size();
     minimize_stats min_stats;
@@ -273,14 +265,16 @@ class parallel_mocus {
   }
 
  private:
-  static constexpr std::size_t num_shards = 64;
+  static constexpr unsigned shard_bits = 6;
+  static constexpr std::size_t num_shards = std::size_t{1} << shard_bits;
   /// Partials kept on the local run before breadth-side work is spilled to
   /// the pool for stealing.
   static constexpr std::size_t spill_threshold = 4;
 
   struct alignas(64) visited_shard {
     std::mutex mutex;
-    std::unordered_set<partial_key, partial_key_hash> set;
+    visited_table table;
+    std::size_t peak_entries = 0;
   };
 
   struct alignas(64) local_buffers {
@@ -289,16 +283,20 @@ class parallel_mocus {
   };
 
   bool mark_visited(const partial_cutset& p) {
-    partial_key key = make_key(p, ex_.ft.size());
-    const std::size_t h = partial_key_hash{}(key);
-    visited_shard& shard = shards_[h % num_shards];
+    // Hash outside the lock. The shard comes from the high bits: the
+    // table probes with the low ones, and a shard whose keys all shared
+    // their low bits would cluster.
+    const std::uint64_t h = visited_table::hash(p.events, p.gates);
+    visited_shard& shard = shards_[h >> (64 - shard_bits)];
     std::lock_guard lock(shard.mutex);
     // A shard clear can re-admit partials still queued on other workers'
     // deques (they are unreachable from here); unlike the serial driver
     // the duplicate work is bounded by shard_limit_ re-expansions and the
     // result set is unaffected — minimize_cutsets() dedups.
-    if (shard.set.size() >= shard_limit_) shard.set.clear();
-    return shard.set.insert(std::move(key)).second;
+    if (shard.table.size() >= shard_limit_) shard.table.clear();
+    if (!shard.table.insert(p.events, p.gates, h)) return false;
+    shard.peak_entries = std::max(shard.peak_entries, shard.table.size());
+    return true;
   }
 
   void run_task(partial_cutset p) {

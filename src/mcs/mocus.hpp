@@ -32,11 +32,12 @@ struct mocus_options {
   /// regardless of thread count.
   std::size_t max_partials = 100'000'000;
 
-  /// Size bound of the duplicate-partial cache. Deduplication is a pure
-  /// optimisation (duplicates expand to identical cutsets), so the cache
-  /// is cleared when it reaches this bound: memory stays bounded on huge
-  /// models at the price of occasionally re-expanding a shared partial.
-  /// The parallel driver shards the cache and bounds each shard at
+  /// Size bound, in entries, of the duplicate-partial cache (the visited
+  /// table, mcs/visited_table.hpp). Deduplication is a pure optimisation
+  /// (duplicates expand to identical cutsets), so the cache is cleared
+  /// when it reaches this bound: memory stays bounded on huge models at
+  /// the price of occasionally re-expanding a shared partial. The
+  /// parallel driver shards the cache and bounds each shard at
   /// dedup_limit / #shards.
   std::size_t dedup_limit = 4'000'000;
 
@@ -69,7 +70,9 @@ struct mocus_result {
   std::size_t cutoff_discarded = 0;    ///< partials dropped by cutoff/order
   std::size_t threads_used = 1;        ///< workers of the driver that ran
   std::size_t subset_tests = 0;  ///< packed subsumption tests in minimize
-  std::size_t key_words = 0;     ///< 64-bit words per visited-set key
+  std::size_t visited_entries = 0;  ///< peak visited-table entries (summed
+                                    ///< over the parallel driver's shards)
+  std::size_t visited_bytes = 0;    ///< peak visited-table heap bytes
   double seconds = 0.0;          ///< wall-clock generation time
 };
 

@@ -5,6 +5,7 @@
 #include "ft/fault_tree.hpp"
 #include "mcs/cutset.hpp"
 #include "mcs/mocus.hpp"
+#include "mcs/visited_table.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -185,6 +186,77 @@ TEST(Mocus, TinyDedupLimitOnRandomTrees) {
     opt.dedup_limit = 1;
     EXPECT_EQ(mocus(ft, opt).cutsets, expected) << "seed " << seed;
   }
+}
+
+using index_list = std::vector<node_index>;
+
+TEST(VisitedTable, RejectsDuplicates) {
+  visited_table table;
+  EXPECT_TRUE(table.insert({1, 4}, {9}));
+  EXPECT_FALSE(table.insert({1, 4}, {9}));
+  EXPECT_TRUE(table.insert({1, 4}, {}));   // shorter key
+  EXPECT_TRUE(table.insert({1}, {4, 9}));  // same nodes, other split
+  EXPECT_TRUE(table.insert({}, {}));       // the empty partial
+  EXPECT_FALSE(table.insert({}, {}));
+  EXPECT_FALSE(table.insert({1}, {4, 9}));
+  EXPECT_EQ(table.size(), 4u);
+  EXPECT_GT(table.bytes(), 0u);
+}
+
+TEST(VisitedTable, ClearForgetsAndReprimes) {
+  visited_table table;
+  for (node_index i = 0; i < 100; ++i) EXPECT_TRUE(table.insert({i}, {}));
+  const std::size_t bytes = table.bytes();
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.bytes(), bytes);  // capacity kept for the re-prime
+  // Re-priming with a few live keys: exactly those are known again.
+  for (node_index i = 0; i < 10; ++i) EXPECT_TRUE(table.insert({i}, {}));
+  for (node_index i = 0; i < 10; ++i) EXPECT_FALSE(table.insert({i}, {}));
+  for (node_index i = 10; i < 100; ++i) EXPECT_TRUE(table.insert({i}, {}));
+  EXPECT_EQ(table.size(), 100u);
+}
+
+TEST(VisitedTable, GrowsOverManyInserts) {
+  visited_table table;
+  const auto key = [](node_index i) {
+    // Varying lengths, so arena offsets are not a multiple of anything.
+    index_list events;
+    for (node_index k = 0; k <= i % 5; ++k) events.push_back(i * 8 + k);
+    return events;
+  };
+  constexpr node_index n = 50'000;
+  for (node_index i = 0; i < n; ++i) {
+    ASSERT_TRUE(table.insert(key(i), {n * 8 + i % 7})) << i;
+  }
+  EXPECT_EQ(table.size(), n);
+  for (node_index i = 0; i < n; ++i) {
+    ASSERT_FALSE(table.insert(key(i), {n * 8 + i % 7})) << i;
+    ASSERT_TRUE(table.insert(key(i), {n * 8 + 7})) << i;
+  }
+  EXPECT_EQ(table.size(), 2 * n);
+}
+
+TEST(VisitedTable, EqualHashesStayDistinct) {
+  // Every key forced onto one hash: the table must still admit each
+  // different key once and reject only true duplicates, across growth.
+  visited_table table;
+  constexpr std::uint64_t h = 0x5eed;
+  for (node_index i = 0; i < 200; ++i) {
+    EXPECT_TRUE(table.insert({i}, {1000 + i}, h)) << i;
+    EXPECT_TRUE(table.insert({i}, {}, h)) << i;
+  }
+  for (node_index i = 0; i < 200; ++i) {
+    EXPECT_FALSE(table.insert({i}, {1000 + i}, h)) << i;
+    EXPECT_FALSE(table.insert({i}, {}, h)) << i;
+  }
+  EXPECT_EQ(table.size(), 400u);
+}
+
+TEST(VisitedTable, HashDependsOnContentAndSplit) {
+  EXPECT_EQ(visited_table::hash({1, 2}, {7}), visited_table::hash({1, 2}, {7}));
+  EXPECT_NE(visited_table::hash({1, 2}, {7}), visited_table::hash({1, 2}, {8}));
+  EXPECT_NE(visited_table::hash({1, 2}, {7}), visited_table::hash({1}, {2, 7}));
 }
 
 TEST(MinimizeCutsets, RemovesSupersetsAndDuplicates) {

@@ -8,16 +8,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bdd/ft_bdd.hpp"
 #include "engine/engine.hpp"
 #include "ft/fault_tree.hpp"
+#include "gen/industrial.hpp"
 #include "mcs/cutset.hpp"
+#include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
 #include "prep/prep.hpp"
+#include "sdft/translate.hpp"
 #include "test_models.hpp"
 
 namespace sdft {
@@ -247,6 +253,117 @@ TEST(Prep, EngineAgreementRandomSdTrees) {
         testing::make_random_sd_tree(0x9c + static_cast<std::uint64_t>(seed));
     expect_engine_agreement(r.tree, 12.0, 0.0,
                             "random seed " + std::to_string(seed));
+  }
+}
+
+/// A downsized industrial study (the generator behind the paper's §VI-B
+/// stand-ins), small enough to analyse in milliseconds, with its sequence
+/// cross-products still split into nested modules by prep.
+industrial_model small_industrial(std::uint64_t seed) {
+  industrial_options gopt;
+  gopt.seed = seed;
+  gopt.num_frontline_systems = 6;
+  gopt.num_support_systems = 2;
+  gopt.num_initiating_events = 4;
+  gopt.sequences_per_ie = 3;
+  gopt.components_per_train = 3;
+  return generate_industrial(gopt);
+}
+
+/// Exact text of a double, for failure labels.
+std::string hex(double x) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%a", x);
+  return text;
+}
+
+/// Modular-recombination agreement at a cutoff: modules on and off, at
+/// threads 1 and 8, must produce the bit-identical probability and cutset
+/// list of the serial non-modular run over the same prep tree. (A run
+/// with prep off is no reference here: prep renumbers the basic events,
+/// so cutset products multiply in another order and may round across a
+/// cutoff placed exactly on one of them.)
+void expect_modular_agreement(const sd_fault_tree& tree, double horizon,
+                              double cutoff, const std::string& model) {
+  analysis_options opts;
+  opts.horizon = horizon;
+  opts.cutoff = cutoff;
+  opts.keep_cutset_details = true;
+  opts.threads = 1;
+  opts.prep.modularize = false;
+  const analysis_result reference = analyze(tree, opts);
+  ASSERT_GT(reference.num_cutsets, 0u) << model;
+  std::vector<cutset> reference_list;
+  for (const auto& q : reference.cutsets) reference_list.push_back(q.events);
+
+  for (const bool modularize : {true, false}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      opts.prep.modularize = modularize;
+      opts.threads = threads;
+      const analysis_result r = analyze(tree, opts);
+      const std::string label = model + ": threads=" +
+                                std::to_string(threads) +
+                                (modularize ? "" : " no-modules");
+      std::vector<cutset> list;
+      for (const auto& q : r.cutsets) list.push_back(q.events);
+      EXPECT_EQ(list, reference_list) << label;
+      EXPECT_EQ(r.failure_probability, reference.failure_probability)
+          << label;
+    }
+  }
+}
+
+/// Cutoffs on the boundary of the modular recombination's pruning: the
+/// FT-bar probabilities of a few reference cutsets (ranks 3, 30 and 300
+/// by decreasing probability), each also one ulp below and above. The
+/// pruning bounds products computed in another order than the exact
+/// filter's, so these are the cutoffs where a wrong slack or bound would
+/// keep or drop a cutset the non-modular run does not.
+std::vector<double> boundary_cutoffs(const sd_fault_tree& tree,
+                                     double horizon) {
+  const static_translation translation = translate_to_static(tree, horizon);
+  mocus_options opts;
+  opts.cutoff = 1e-20;
+  std::vector<double> p;
+  for (const cutset& c : mocus(translation.ft_bar, opts).cutsets) {
+    p.push_back(cutset_probability(translation.ft_bar, c));
+  }
+  std::sort(p.begin(), p.end(), std::greater<>());
+  std::vector<double> out;
+  for (const std::size_t rank : {3, 30, 300}) {
+    if (rank >= p.size()) break;
+    out.push_back(std::nextafter(p[rank], 0.0));
+    out.push_back(p[rank]);
+    out.push_back(std::nextafter(p[rank], 1.0));
+  }
+  return out;
+}
+
+TEST(Prep, EngineAgreementAtBoundaryCutoffsStatic) {
+  const sd_fault_tree tree(small_industrial(5).ft);
+  const std::vector<double> cutoffs = boundary_cutoffs(tree, 24.0);
+  ASSERT_EQ(cutoffs.size(), 9u);
+  for (const double cutoff : cutoffs) {
+    expect_modular_agreement(tree, 24.0, cutoff,
+                             "static industrial cutoff " + hex(cutoff));
+  }
+}
+
+TEST(Prep, EngineAgreementAtBoundaryCutoffsDynamic) {
+  const industrial_model model = small_industrial(6);
+  mocus_options mopts;
+  mopts.cutoff = 1e-18;
+  annotation_options an;
+  an.dynamic_fraction = 0.5;
+  an.trigger_fraction = 0.3;
+  const sd_fault_tree tree = annotate_dynamic(
+      model,
+      rank_by_fussell_vesely(model.ft, mocus(model.ft, mopts).cutsets), an);
+  const std::vector<double> cutoffs = boundary_cutoffs(tree, 24.0);
+  ASSERT_EQ(cutoffs.size(), 9u);
+  for (const double cutoff : cutoffs) {
+    expect_modular_agreement(tree, 24.0, cutoff,
+                             "dynamic industrial cutoff " + hex(cutoff));
   }
 }
 

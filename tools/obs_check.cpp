@@ -114,6 +114,7 @@ int check_metrics(const std::string& path) {
       "engine.quantify_seconds",  "engine.sum_seconds",
       "engine.total_seconds",     "engine.cutsets",
       "mocus.partials_expanded",  "mocus.cutoff_discarded",
+      "mocus.visited_entries",    "mocus.visited_bytes",
       "bdd.nodes",                "quant.static_cutsets",
       "quant.dynamic_cutsets",    "quant.failed",
       "quant.lumped_orbits",      "quant.lumped_cutsets",

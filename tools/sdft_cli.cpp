@@ -459,9 +459,10 @@ void print_engine_stats(const engine_stats& s) {
                                        " sift swaps)"});
   } else {
     table.add_row({"mocus partials", std::to_string(s.source_partials)});
-    table.add_row({"mocus subset tests",
-                   std::to_string(s.subset_tests) + " (" +
-                       std::to_string(s.bitset_words) + "-word keys)"});
+    table.add_row({"mocus subset tests", std::to_string(s.subset_tests)});
+    table.add_row({"mocus visited peak",
+                   std::to_string(s.visited_entries) + " entries, " +
+                       std::to_string(s.visited_bytes / 1024) + " KiB"});
   }
   table.add_row({"cutoff discarded", std::to_string(s.source_discarded)});
   if (s.exact_static_seconds > 0) {
