@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 
+#include "ft/modules.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -14,25 +15,40 @@ namespace {
 constexpr std::uint32_t sift_variable_limit = 128;
 }  // namespace
 
-ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
-    : ft_(ft), ordering_(ordering) {
-  if (root == fault_tree::npos) root = ft.top();
-  require_model(root != fault_tree::npos && root < ft.size(),
-                "ft_bdd: no root node");
-
-  // DFS-from-root discovery order: the default ordering and the starting
-  // point (or tie-break) of the others.
+ft_bdd::ft_bdd(const fault_tree& ft, const std::vector<node_index>& roots,
+               const std::unordered_set<node_index>& variable_gates)
+    : ft_(ft) {
+  const auto is_variable = [&](node_index n) {
+    return ft_.is_basic(n) ||
+           (variable_gates.count(n) > 0 &&
+            std::find(roots.begin(), roots.end(), n) == roots.end());
+  };
+  // DFS first-visit discovery order over the roots: the default ordering
+  // and the starting point (or tie-break) of the others. A gate is walked
+  // once — re-walking a shared gate discovers nothing new, and on a
+  // ladder-shaped DAG every level would double the walk.
+  std::unordered_set<node_index> walked;
   const std::function<void(node_index)> discover = [&](node_index n) {
-    if (ft_.is_basic(n)) {
+    if (is_variable(n)) {
       if (event_to_var_.emplace(n, var_to_event_.size()).second) {
         var_to_event_.push_back(n);
       }
       return;
     }
+    if (!walked.insert(n).second) return;
     for (node_index child : ft_.node(n).inputs) discover(child);
   };
-  discover(root);
+  for (node_index root : roots) {
+    require_model(root < ft_.size(), "ft_bdd: no root node");
+    discover(root);
+  }
+}
 
+ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
+    : ft_bdd(ft, std::vector<node_index>{root == fault_tree::npos ? ft.top()
+                                                                 : root}) {
+  if (root == fault_tree::npos) root = ft.top();
+  ordering_ = ordering;
   switch (ordering) {
     case bdd_ordering::dfs:
     case bdd_ordering::sift:  // sifting refines the DFS order post-compile
@@ -63,51 +79,53 @@ ft_bdd::ft_bdd(const fault_tree& ft, node_index root, bdd_ordering ordering)
       break;
     }
   }
-  event_to_var_.clear();
   for (std::uint32_t v = 0; v < var_to_event_.size(); ++v) {
-    event_to_var_.emplace(var_to_event_[v], v);
+    event_to_var_[var_to_event_[v]] = v;
   }
 
-  // Compile bottom-up with memoisation over shared gates.
-  std::unordered_map<node_index, bdd_ref> memo;
-  const std::function<bdd_ref(node_index)> compile =
-      [&](node_index n) -> bdd_ref {
-    auto it = memo.find(n);
-    if (it != memo.end()) return it->second;
-    bdd_ref ref;
-    if (ft_.is_basic(n)) {
-      ref = manager_.var(event_to_var_.at(n));
-    } else {
-      const auto& gate = ft_.node(n);
-      if (gate.type == gate_type::atleast_gate) {
-        // Threshold DP over the inputs: at_least[j] after i children is
-        // "at least j of the first i are failed". Polynomial in k * N,
-        // no C(N, k) expansion.
-        std::vector<bdd_ref> at_least(gate.k + 1, manager_.zero());
-        at_least[0] = manager_.one();
-        for (node_index child : gate.inputs) {
-          const bdd_ref c = compile(child);
-          for (std::uint32_t j = gate.k; j >= 1; --j) {
-            at_least[j] = manager_.bdd_or(at_least[j],
-                                          manager_.bdd_and(c, at_least[j - 1]));
-          }
-        }
-        ref = at_least[gate.k];
-      } else {
-        const bool is_and = gate.type == gate_type::and_gate;
-        ref = is_and ? manager_.one() : manager_.zero();
-        for (node_index child : gate.inputs) {
-          const bdd_ref c = compile(child);
-          ref = is_and ? manager_.bdd_and(ref, c) : manager_.bdd_or(ref, c);
+  root_ref_ = compile(root);
+  if (ordering == bdd_ordering::sift) {
+    sift();
+    memo_.clear();  // compaction invalidated every memoised ref
+  }
+}
+
+bdd_ref ft_bdd::compile(node_index n) {
+  auto it = memo_.find(n);
+  if (it != memo_.end()) return it->second;
+  bdd_ref ref;
+  if (auto var = event_to_var_.find(n); var != event_to_var_.end()) {
+    ref = manager_.var(var->second);
+  } else {
+    require_model(n < ft_.size() && ft_.is_gate(n),
+                  "ft_bdd: node is not below any root");
+    ++gates_compiled_;
+    const auto& gate = ft_.node(n);
+    if (gate.type == gate_type::atleast_gate) {
+      // Threshold DP over the inputs: at_least[j] after i children is
+      // "at least j of the first i are failed". Polynomial in k * N,
+      // no C(N, k) expansion.
+      std::vector<bdd_ref> at_least(gate.k + 1, manager_.zero());
+      at_least[0] = manager_.one();
+      for (node_index child : gate.inputs) {
+        const bdd_ref c = compile(child);
+        for (std::uint32_t j = gate.k; j >= 1; --j) {
+          at_least[j] = manager_.bdd_or(at_least[j],
+                                        manager_.bdd_and(c, at_least[j - 1]));
         }
       }
+      ref = at_least[gate.k];
+    } else {
+      const bool is_and = gate.type == gate_type::and_gate;
+      ref = is_and ? manager_.one() : manager_.zero();
+      for (node_index child : gate.inputs) {
+        const bdd_ref c = compile(child);
+        ref = is_and ? manager_.bdd_and(ref, c) : manager_.bdd_or(ref, c);
+      }
     }
-    memo.emplace(n, ref);
-    return ref;
-  };
-  root_ref_ = compile(root);
-
-  if (ordering == bdd_ordering::sift) sift();
+  }
+  memo_.emplace(n, ref);
+  return ref;
 }
 
 void ft_bdd::swap_positions(std::uint32_t p) {
@@ -174,6 +192,18 @@ double ft_bdd::probability(
   return manager_.probability(root_ref_, probs);
 }
 
+double ft_bdd::probability(bdd_ref f,
+                           const std::vector<double>& node_probs) const {
+  std::vector<double> probs(var_to_event_.size());
+  for (std::uint32_t v = 0; v < var_to_event_.size(); ++v) {
+    const node_index n = var_to_event_[v];
+    require_model(n < node_probs.size(),
+                  "ft_bdd: probability vector does not cover the variables");
+    probs[v] = node_probs[n];
+  }
+  return manager_.probability(f, probs);
+}
+
 std::vector<cutset> ft_bdd::minimal_cutsets() const {
   const bdd_ref minsol = manager_.minimal_solutions(root_ref_);
   std::vector<cutset> out;
@@ -188,6 +218,24 @@ std::vector<cutset> ft_bdd::minimal_cutsets() const {
     return a.size() != b.size() ? a.size() < b.size() : a < b;
   });
   return out;
+}
+
+double modular_probability(const fault_tree& ft) {
+  const auto module_roots = find_modules(ft);
+  const std::unordered_set<node_index> modules(module_roots.begin(),
+                                               module_roots.end());
+  std::vector<double> node_probs(ft.size());
+  for (node_index n = 0; n < ft.size(); ++n) {
+    node_probs[n] = ft.node(n).probability;
+  }
+  // Topological order solves nested modules first; each module's own
+  // compilation keeps its variable space module-sized.
+  for (node_index n : ft.topo_order()) {
+    if (!modules.count(n)) continue;
+    ft_bdd compiled(ft, std::vector<node_index>{n}, modules);
+    node_probs[n] = compiled.probability(compiled.compile(n), node_probs);
+  }
+  return node_probs[ft.top()];
 }
 
 }  // namespace sdft

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 
-#include "bdd/bdd.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -42,66 +41,27 @@ void event_tree::validate() const {
   }
 }
 
-event_tree_bdd::event_tree_bdd(const event_tree& et) : et_(et) {
-  // Variable order: basic-event discovery order over a DFS of the IE and
-  // then each functional gate — a pure function of the event tree, so
-  // every compilation of the same tree agrees variable for variable.
-  const std::function<void(node_index)> visit = [&](node_index n) {
-    if (et_.ft().is_basic(n)) {
-      if (event_to_var_.emplace(n, var_to_event_.size()).second) {
-        var_to_event_.push_back(n);
-      }
-      return;
-    }
-    for (node_index child : et_.ft().node(n).inputs) visit(child);
-  };
-  visit(et_.initiating_event());
-  for (std::size_t i = 0; i < et_.num_functional_events(); ++i) {
-    visit(et_.functional_gate(i));
+namespace {
+/// Roots of an event tree's shared compilation: the IE, then every
+/// functional gate — so the variable order is a pure function of the event
+/// tree and every compilation of the same tree agrees variable for
+/// variable.
+std::vector<node_index> compilation_roots(const event_tree& et) {
+  std::vector<node_index> roots{et.initiating_event()};
+  for (std::size_t i = 0; i < et.num_functional_events(); ++i) {
+    roots.push_back(et.functional_gate(i));
   }
+  return roots;
 }
+}  // namespace
 
-bdd_ref event_tree_bdd::compile(node_index n) {
-  auto it = memo_.find(n);
-  if (it != memo_.end()) return it->second;
-  bdd_ref ref;
-  if (et_.ft().is_basic(n)) {
-    ref = manager_.var(event_to_var_.at(n));
-  } else {
-    const auto& gate = et_.ft().node(n);
-    ++gates_compiled_;
-    if (gate.type == gate_type::atleast_gate) {
-      // Threshold DP over the inputs, exactly as bdd/ft_bdd.cpp lowers
-      // voting gates: at_least[j] after i children is "at least j of the
-      // first i are failed". Polynomial in k * N, no C(N, k) expansion.
-      // (Treating the gate as an OR here used to corrupt every exact
-      // sequence probability under a k-of-n functional event.)
-      std::vector<bdd_ref> at_least(gate.k + 1, manager_.zero());
-      at_least[0] = manager_.one();
-      for (node_index child : gate.inputs) {
-        const bdd_ref c = compile(child);
-        for (std::uint32_t j = gate.k; j >= 1; --j) {
-          at_least[j] = manager_.bdd_or(
-              at_least[j], manager_.bdd_and(c, at_least[j - 1]));
-        }
-      }
-      ref = at_least[gate.k];
-    } else {
-      const bool is_and = gate.type == gate_type::and_gate;
-      ref = is_and ? manager_.one() : manager_.zero();
-      for (node_index child : gate.inputs) {
-        const bdd_ref c = compile(child);
-        ref = is_and ? manager_.bdd_and(ref, c) : manager_.bdd_or(ref, c);
-      }
-    }
-  }
-  memo_.emplace(n, ref);
-  return ref;
-}
+event_tree_bdd::event_tree_bdd(const event_tree& et)
+    : et_(et), bdd_(et.ft(), compilation_roots(et)) {}
 
 bdd_ref event_tree_bdd::sequence(std::size_t s) {
   require_model(s < et_.num_sequences(), "event_tree: sequence out of range");
-  bdd_ref f = compile(et_.initiating_event());
+  bdd_manager& manager = bdd_.manager();
+  bdd_ref f = bdd_.compile(et_.initiating_event());
   const auto& outcomes = et_.sequence_outcomes(s);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     if (outcomes[i] == branch_outcome::bypass) continue;
@@ -117,11 +77,11 @@ bdd_ref event_tree_bdd::sequence(std::size_t s) {
       f = it->second;
       continue;
     }
-    const bdd_ref gate = compile(et_.functional_gate(i));
+    const bdd_ref gate = bdd_.compile(et_.functional_gate(i));
     const bdd_ref next =
-        manager_.bdd_and(f, outcomes[i] == branch_outcome::failure
-                                ? gate
-                                : manager_.bdd_not(gate));
+        manager.bdd_and(f, outcomes[i] == branch_outcome::failure
+                               ? gate
+                               : manager.bdd_not(gate));
     prefix_.emplace(key, next);
     f = next;
   }
@@ -129,33 +89,21 @@ bdd_ref event_tree_bdd::sequence(std::size_t s) {
 }
 
 bdd_ref event_tree_bdd::end_state(const std::string& end_state) {
-  bdd_ref any = manager_.zero();
+  bdd_ref any = bdd_.manager().zero();
   for (std::size_t s = 0; s < et_.num_sequences(); ++s) {
     if (et_.end_state(s) == end_state) {
-      any = manager_.bdd_or(any, sequence(s));
+      any = bdd_.manager().bdd_or(any, sequence(s));
     }
   }
   return any;
 }
 
 double event_tree_bdd::probability(bdd_ref f) const {
-  std::vector<double> probs(var_to_event_.size());
-  for (std::size_t v = 0; v < var_to_event_.size(); ++v) {
-    probs[v] = et_.ft().node(var_to_event_[v]).probability;
+  std::vector<double> node_probs(et_.ft().size());
+  for (node_index n = 0; n < node_probs.size(); ++n) {
+    node_probs[n] = et_.ft().node(n).probability;
   }
-  return manager_.probability(f, probs);
-}
-
-double event_tree_bdd::probability(
-    bdd_ref f, const std::vector<double>& node_probs) const {
-  std::vector<double> probs(var_to_event_.size());
-  for (std::size_t v = 0; v < var_to_event_.size(); ++v) {
-    const node_index n = var_to_event_[v];
-    require_model(n < node_probs.size(),
-                  "event_tree: probability vector does not cover the tree");
-    probs[v] = node_probs[n];
-  }
-  return manager_.probability(f, probs);
+  return bdd_.probability(f, node_probs);
 }
 
 double sequence_probability_exact(const event_tree& et, std::size_t s) {

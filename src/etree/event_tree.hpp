@@ -5,7 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "bdd/bdd.hpp"
+#include "bdd/ft_bdd.hpp"
 #include "ft/fault_tree.hpp"
 #include "sdft/sd_fault_tree.hpp"
 
@@ -83,15 +83,17 @@ class event_tree {
   std::vector<sequence> sequences_;
 };
 
-/// Multi-root BDD compilation of every fault-tree node an event tree
-/// references: one manager, one variable order (discovery order over the
-/// IE then the functional gates — deterministic), one memo shared by all
-/// gates. Sequence BDDs are built as prefix products (IE ∧ outcome_0 ∧ …)
-/// and memoised per (partial product, functional event, outcome), so
-/// sequences differing in one late branch reuse the common prefix. BDD
-/// operations are canonical, so a probability read off a shared
-/// compilation is bit-identical to a one-shot compilation of the same
-/// sequence — the contract the scenario engine's one-pass mode relies on.
+/// The event-tree layer over one multi-root ft_bdd compilation of every
+/// fault-tree node an event tree references: roots are the IE then the
+/// functional gates (ft_bdd's DFS discovery order over them gives the
+/// variable order — deterministic), gates are compiled lazily on first
+/// demand and shared by all sequences. Sequence BDDs are built as prefix
+/// products (IE ∧ outcome_0 ∧ …) and memoised per (partial product,
+/// functional event, outcome), so sequences differing in one late branch
+/// reuse the common prefix. BDD operations are canonical, so a probability
+/// read off a shared compilation is bit-identical to a one-shot
+/// compilation of the same sequence — the contract the scenario engine's
+/// one-pass mode relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
 /// thread-safe; probability() is const and safe to call concurrently once
@@ -113,23 +115,18 @@ class event_tree_bdd {
   /// Probability of `f` with per-node probability overrides indexed by
   /// node_index of the referenced tree (only basic events reachable from
   /// the event tree's roots are read).
-  double probability(bdd_ref f, const std::vector<double>& node_probs) const;
+  double probability(bdd_ref f, const std::vector<double>& node_probs) const {
+    return bdd_.probability(f, node_probs);
+  }
 
-  std::size_t num_variables() const { return var_to_event_.size(); }
-  std::size_t nodes() const { return manager_.size(); }
-  std::size_t gates_compiled() const { return gates_compiled_; }
+  std::size_t nodes() const { return bdd_.node_count(); }
+  std::size_t gates_compiled() const { return bdd_.gates_compiled(); }
   std::size_t prefix_hits() const { return prefix_hits_; }
 
  private:
-  bdd_ref compile(node_index n);
-
   const event_tree& et_;
-  bdd_manager manager_;
-  std::vector<node_index> var_to_event_;
-  std::unordered_map<node_index, std::uint32_t> event_to_var_;
-  std::unordered_map<node_index, bdd_ref> memo_;
+  ft_bdd bdd_;
   std::unordered_map<std::uint64_t, bdd_ref> prefix_;
-  std::size_t gates_compiled_ = 0;
   std::size_t prefix_hits_ = 0;
 };
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "bdd/bdd.hpp"
 #include "bdd/ft_bdd.hpp"
+#include "etree/event_tree.hpp"
 #include "mcs/mocus.hpp"
 #include "test_models.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace sdft {
@@ -102,6 +106,93 @@ TEST(FtBdd, CompilesFromSubtreeRoot) {
   const double expected =
       1.0 - (1.0 - testing::p_fts) * (1.0 - testing::p_fio);
   EXPECT_NEAR(pump1.probability(), expected, 1e-15);
+}
+
+TEST(FtBdd, MultiRootDiscoversInRootOrderAndCompilesLazily) {
+  fault_tree ft;
+  const node_index a = ft.add_basic_event("a", 0.1);
+  const node_index b = ft.add_basic_event("b", 0.2);
+  const node_index c = ft.add_basic_event("c", 0.3);
+  const node_index shared = ft.add_gate("shared", gate_type::or_gate, {b, c});
+  const node_index r1 = ft.add_gate("r1", gate_type::and_gate, {shared, a});
+  const node_index r2 = ft.add_atleast_gate("r2", 2, {a, b, shared});
+  ft.set_top(ft.add_gate("top", gate_type::or_gate, {r1, r2}));
+
+  ft_bdd compiled(ft, std::vector<node_index>{r2, r1});
+  // DFS first-visit order over r2 then r1: a, b, then c under `shared`.
+  EXPECT_EQ(compiled.num_variables(), 3u);
+  EXPECT_EQ(compiled.gates_compiled(), 0u);
+  const bdd_ref f1 = compiled.compile(r1);
+  EXPECT_EQ(compiled.gates_compiled(), 2u);  // r1 and shared
+  const bdd_ref f2 = compiled.compile(r2);
+  EXPECT_EQ(compiled.gates_compiled(), 3u);  // shared is memoised
+  EXPECT_EQ(compiled.compile(r1), f1);
+
+  std::vector<double> probs(ft.size(), 0.0);
+  for (node_index n : ft.basic_events()) probs[n] = ft.node(n).probability;
+  EXPECT_NEAR(compiled.probability(f1, probs),
+              ft_bdd(ft, r1).probability(), 1e-15);
+  EXPECT_NEAR(compiled.probability(f2, probs),
+              ft_bdd(ft, r2).probability(), 1e-15);
+  // The probability vector must cover every variable.
+  EXPECT_THROW(compiled.probability(f1, std::vector<double>(c, 0.5)),
+               model_error);
+  EXPECT_THROW(compiled.compile(fault_tree::npos), model_error);
+}
+
+TEST(FtBdd, VariableGatesStandInForTheirSubtree) {
+  // `sub` is a module of `top`: compiled as a variable carrying its own
+  // exact probability, the top's probability is unchanged.
+  fault_tree ft;
+  const node_index a = ft.add_basic_event("a", 0.1);
+  const node_index b = ft.add_basic_event("b", 0.2);
+  const node_index c = ft.add_basic_event("c", 0.3);
+  const node_index sub = ft.add_gate("sub", gate_type::and_gate, {b, c});
+  const node_index top = ft.add_gate("top", gate_type::or_gate, {a, sub});
+  ft.set_top(top);
+
+  ft_bdd compiled(ft, std::vector<node_index>{top}, {sub, top});
+  EXPECT_EQ(compiled.num_variables(), 2u);  // a and sub; the root expands
+  const bdd_ref f = compiled.compile(top);
+  EXPECT_EQ(compiled.gates_compiled(), 1u);
+  std::vector<double> probs(ft.size(), 0.0);
+  probs[a] = 0.1;
+  probs[sub] = 0.2 * 0.3;
+  EXPECT_NEAR(compiled.probability(f, probs), ft.probability_brute_force(),
+              1e-15);
+}
+
+TEST(FtBdd, LadderDagCompilesWithoutPathExplosion) {
+  // g_i = AND(g_{i-1}, OR(g_{i-1}, e_i)) with g_0 = e0: every level doubles
+  // the number of paths to e0 (2^64 here), while absorption keeps the
+  // function equal to e0. A discovery walking every path instead of every
+  // node hangs beyond ~30 levels.
+  fault_tree ft;
+  const node_index ie = ft.add_basic_event("IE", 0.5);
+  node_index prev = ft.add_basic_event("e0", 0.125);
+  for (int i = 1; i <= 64; ++i) {
+    const node_index e =
+        ft.add_basic_event("e" + std::to_string(i), 0.01 * (i % 50 + 1));
+    const node_index o = ft.add_gate("o" + std::to_string(i),
+                                     gate_type::or_gate, {prev, e});
+    prev = ft.add_gate("g" + std::to_string(i), gate_type::and_gate,
+                       {prev, o});
+  }
+  ft.set_top(prev);
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_DOUBLE_EQ(ft_bdd(ft).probability(), 0.125);
+  EXPECT_DOUBLE_EQ(modular_probability(ft), 0.125);
+  event_tree et(ft, ie, "LADDER");
+  et.add_functional_event("F", prev);
+  et.add_sequence({branch_outcome::failure}, "CD");
+  et.add_sequence({branch_outcome::success}, "OK");
+  EXPECT_DOUBLE_EQ(sequence_probability_exact(et, 0), 0.5 * 0.125);
+  EXPECT_DOUBLE_EQ(sequence_probability_exact(et, 1), 0.5 * 0.875);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count(),
+            1.0);
 }
 
 fault_tree random_tree(rng& random, int num_events, int num_gates) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 #include "bdd/ft_bdd.hpp"
 #include "ft/ccf.hpp"
@@ -183,10 +184,14 @@ TEST(Modules, ModularProbabilityOnSharedDag) {
   EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-15);
 }
 
-class ModularRandomTrees : public ::testing::TestWithParam<int> {};
+/// Parameters: (seed, also draw atleast gates). With the second off, no
+/// atleast draw touches the RNG, so those cases are AND/OR-only trees.
+class ModularRandomTrees
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(ModularRandomTrees, MatchesBruteForce) {
-  rng random(0x30d + static_cast<std::uint64_t>(GetParam()));
+  const auto [seed, with_atleast] = GetParam();
+  rng random(0x30d + static_cast<std::uint64_t>(seed));
   fault_tree ft;
   std::vector<node_index> pool;
   for (int i = 0; i < 9; ++i) {
@@ -199,17 +204,29 @@ TEST_P(ModularRandomTrees, MatchesBruteForce) {
     for (int i = 0, n = static_cast<int>(random.between(2, 3)); i < n; ++i) {
       inputs.push_back(pool[random.below(pool.size())]);
     }
-    last = ft.add_gate("g" + std::to_string(g),
-                       random.chance(0.5) ? gate_type::and_gate
-                                          : gate_type::or_gate,
-                       inputs);
+    const std::string name = "g" + std::to_string(g);
+    if (with_atleast && random.chance(1.0 / 3.0)) {
+      // The tree drops repeated inputs; draw k over the distinct ones.
+      std::sort(inputs.begin(), inputs.end());
+      inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
+      const auto k = static_cast<std::uint32_t>(
+          random.between(1, static_cast<std::int64_t>(inputs.size())));
+      last = ft.add_atleast_gate(name, k, inputs);
+    } else {
+      last = ft.add_gate(name,
+                         random.chance(0.5) ? gate_type::and_gate
+                                            : gate_type::or_gate,
+                         inputs);
+    }
     pool.push_back(last);
   }
   ft.set_top(last);
   EXPECT_NEAR(modular_probability(ft), ft.probability_brute_force(), 1e-12);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ModularRandomTrees, ::testing::Range(0, 20));
+INSTANTIATE_TEST_SUITE_P(Seeds, ModularRandomTrees,
+                         ::testing::Combine(::testing::Range(0, 20),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace sdft

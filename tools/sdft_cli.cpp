@@ -68,7 +68,6 @@
 #include "serve/service.hpp"
 #include "serve/transport.hpp"
 #include "core/risk_measures.hpp"
-#include "ft/modules.hpp"
 #include "mcs/importance.hpp"
 #include "mcs/mocus.hpp"
 #include "obs/obs.hpp"
