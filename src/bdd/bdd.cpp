@@ -1,5 +1,6 @@
 #include "bdd/bdd.hpp"
 
+#include <algorithm>
 #include <functional>
 #include <unordered_set>
 
@@ -114,22 +115,48 @@ bdd_ref bdd_manager::restrict_var(bdd_ref f, std::uint32_t var, bool value) {
   return rec(f);
 }
 
-double bdd_manager::probability(bdd_ref f,
-                                const std::vector<double>& probs) const {
-  std::unordered_map<bdd_ref, double> memo;
-  const std::function<double(bdd_ref)> rec = [&](bdd_ref g) -> double {
-    if (g == zero()) return 0.0;
-    if (g == one()) return 1.0;
-    auto it = memo.find(g);
-    if (it != memo.end()) return it->second;
+std::vector<double> bdd_manager::probabilities(
+    const std::vector<bdd_ref>& roots, const std::vector<double>& probs) const {
+  // Mark the nodes reachable from the roots; only refs up to the largest
+  // one reached need a value slot.
+  std::vector<bool> reached(nodes_.size(), false);
+  std::vector<bdd_ref> stack;
+  bdd_ref top = one();
+  for (const bdd_ref r : roots) {
+    if (reached[r]) continue;
+    reached[r] = true;
+    stack.push_back(r);
+    while (!stack.empty()) {
+      const bdd_ref g = stack.back();
+      stack.pop_back();
+      top = std::max(top, g);
+      if (is_terminal(g)) continue;
+      for (const bdd_ref child : {nodes_[g].low, nodes_[g].high}) {
+        if (!reached[child]) {
+          reached[child] = true;
+          stack.push_back(child);
+        }
+      }
+    }
+  }
+  std::vector<double> value(top + 1, 0.0);
+  value[one()] = 1.0;
+  for (bdd_ref g = 2; g <= top; ++g) {
+    if (!reached[g]) continue;
     const std::uint32_t v = var_of(g);
     require_model(v < probs.size(), "bdd: probability vector too small");
-    const double p =
-        probs[v] * rec(nodes_[g].high) + (1.0 - probs[v]) * rec(nodes_[g].low);
-    memo.emplace(g, p);
-    return p;
-  };
-  return rec(f);
+    value[g] = probs[v] * value[nodes_[g].high] +
+               (1.0 - probs[v]) * value[nodes_[g].low];
+  }
+  std::vector<double> out;
+  out.reserve(roots.size());
+  for (const bdd_ref r : roots) out.push_back(value[r]);
+  return out;
+}
+
+double bdd_manager::probability(bdd_ref f,
+                                const std::vector<double>& probs) const {
+  return probabilities({f}, probs).front();
 }
 
 bdd_ref bdd_manager::without(bdd_ref f, bdd_ref g) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace sdft {
@@ -37,12 +38,25 @@ class bdd_manager {
   /// f with variable `var` fixed to `value`.
   bdd_ref restrict_var(bdd_ref f, std::uint32_t var, bool value);
 
-  /// Probability that f evaluates to true when variable v is independently
-  /// true with probability probs[v]. Exact (Shannon decomposition). Const:
-  /// uses only a call-local memo, so concurrent evaluations of an already
-  /// compiled diagram are safe (the scenario engine batches per-sequence
-  /// evaluations on the pool this way).
+  /// Probability that each of `roots` evaluates to true when variable v is
+  /// independently true with probability probs[v]. Exact (Shannon
+  /// decomposition) in one flat pass: the nodes reachable from the roots
+  /// are marked, then valued in ascending ref order — children always
+  /// precede their parents, because make() and compact() append a node
+  /// only after its children exist. Each node is valued once, however many
+  /// roots share it. Const: uses only call-local buffers, so concurrent
+  /// evaluations of an already compiled diagram are safe.
+  std::vector<double> probabilities(const std::vector<bdd_ref>& roots,
+                                    const std::vector<double>& probs) const;
+
+  /// One-root form of probabilities().
   double probability(bdd_ref f, const std::vector<double>& probs) const;
+
+  /// The children of a non-terminal node: (low, high). Both refs are
+  /// smaller than f.
+  std::pair<bdd_ref, bdd_ref> children(bdd_ref f) const {
+    return {nodes_[f].low, nodes_[f].high};
+  }
 
   /// Rauzy's minimal-solutions operator for a coherent f: the result
   /// encodes exactly the minimal satisfying products of f.

@@ -192,8 +192,9 @@ double ft_bdd::probability(
   return manager_.probability(root_ref_, probs);
 }
 
-double ft_bdd::probability(bdd_ref f,
-                           const std::vector<double>& node_probs) const {
+std::vector<double> ft_bdd::probabilities(
+    const std::vector<bdd_ref>& roots,
+    const std::vector<double>& node_probs) const {
   std::vector<double> probs(var_to_event_.size());
   for (std::uint32_t v = 0; v < var_to_event_.size(); ++v) {
     const node_index n = var_to_event_[v];
@@ -201,7 +202,12 @@ double ft_bdd::probability(bdd_ref f,
                   "ft_bdd: probability vector does not cover the variables");
     probs[v] = node_probs[n];
   }
-  return manager_.probability(f, probs);
+  return manager_.probabilities(roots, probs);
+}
+
+double ft_bdd::probability(bdd_ref f,
+                           const std::vector<double>& node_probs) const {
+  return probabilities({f}, node_probs).front();
 }
 
 std::vector<cutset> ft_bdd::minimal_cutsets() const {

@@ -53,10 +53,15 @@ class ft_bdd {
   double probability(
       const std::unordered_map<node_index, double>& overrides) const;
 
-  /// Exact probability of `f` with per-node probabilities indexed by
+  /// Exact probabilities of `roots` with per-node probabilities indexed by
   /// node_index (only the variables' entries are read; the vector must
-  /// cover each of them). Const: safe to call concurrently once
-  /// compilation is done.
+  /// cover each of them), in one pass of bdd_manager::probabilities().
+  /// Const: safe to call concurrently once compilation is done.
+  std::vector<double> probabilities(
+      const std::vector<bdd_ref>& roots,
+      const std::vector<double>& node_probs) const;
+
+  /// One-root form of probabilities().
   double probability(bdd_ref f, const std::vector<double>& node_probs) const;
 
   /// All minimal cutsets of the single-root form's root, as basic-event

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -95,16 +97,14 @@ scenario_engine::scenario_engine(scenario_model model, scenario_options options)
   // manager, so every root is compiled here, before run()/evaluate_points()
   // fan concurrent probability reads out over the frozen structure.
   compiled_.emplace(*et_);
-  seq_refs_.reserve(et_->num_sequences());
   for (std::size_t s = 0; s < et_->num_sequences(); ++s) {
-    seq_refs_.push_back(compiled_->sequence(s));
+    roots_.push_back(compiled_->sequence(s));
     const std::string& es = et_->end_state(s);
     if (std::find(es_names_.begin(), es_names_.end(), es) == es_names_.end()) {
       es_names_.push_back(es);
     }
   }
-  es_refs_.reserve(es_names_.size());
-  for (const auto& es : es_names_) es_refs_.push_back(compiled_->end_state(es));
+  for (const auto& es : es_names_) roots_.push_back(compiled_->end_state(es));
 
   base_expanded_probs_ = expanded_probs(original_probs());
 
@@ -179,20 +179,19 @@ scenario_result scenario_engine::run(std::size_t uq_samples,
   }
 
   {
-    // Batched exact quantification: every root reads the same frozen BDD,
-    // results land in index-ordered slots — bit-identical at any thread
-    // count, and bit-identical to one-shot compilations (BDD canonicity).
+    // Exact quantification: one pass over the frozen BDD values every
+    // sequence and end state — bit-identical to one-shot compilations
+    // (BDD canonicity) and independent of the thread count.
     obs::span_scope quantify_span("scenario.quantify", "scenario");
     stopwatch timer;
-    for_each_index(num_seq + num_es, [&](std::size_t i) {
-      if (i < num_seq) {
-        out.sequences[i].probability =
-            compiled_->probability(seq_refs_[i], base_expanded_probs_);
-      } else {
-        out.end_states[i - num_seq].probability = compiled_->probability(
-            es_refs_[i - num_seq], base_expanded_probs_);
-      }
-    });
+    const std::vector<double> p =
+        compiled_->probabilities(roots_, base_expanded_probs_);
+    for (std::size_t s = 0; s < num_seq; ++s) {
+      out.sequences[s].probability = p[s];
+    }
+    for (std::size_t e = 0; e < num_es; ++e) {
+      out.end_states[e].probability = p[num_seq + e];
+    }
     stats.scenario_quantify_seconds = timer.seconds();
   }
 
@@ -233,15 +232,18 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
   gate_options.keep_cutset_details = true;
   gate_options.exact_static = false;
   gate_options.publish_metrics = false;
-  std::unordered_map<node_index, std::vector<cutset>> gate_cutsets;
-  for (std::size_t i = 0; i < et_->num_functional_events(); ++i) {
-    const node_index gate = et_->functional_gate(i);
-    if (gate_cutsets.find(gate) != gate_cutsets.end()) continue;
-    bool demanded = false;
-    for (std::size_t s = 0; s < num_seq && !demanded; ++s) {
-      demanded = et_->sequence_outcomes(s)[i] == branch_outcome::failure;
+  const std::size_t num_fe = et_->num_functional_events();
+  std::vector<char> demanded(num_fe, 0);
+  for (std::size_t s = 0; s < num_seq; ++s) {
+    const auto& outcomes = et_->sequence_outcomes(s);
+    for (std::size_t i = 0; i < num_fe; ++i) {
+      if (outcomes[i] == branch_outcome::failure) demanded[i] = 1;
     }
-    if (!demanded) continue;
+  }
+  std::unordered_map<node_index, std::vector<cutset>> gate_cutsets;
+  for (std::size_t i = 0; i < num_fe; ++i) {
+    const node_index gate = et_->functional_gate(i);
+    if (demanded[i] == 0 || gate_cutsets.count(gate) > 0) continue;
     fault_tree sub = expanded_.tree;
     sub.set_top(gate);
     const sd_fault_tree sub_tree(std::move(sub));
@@ -257,28 +259,85 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
   // product grows (a partial product below the cutoff can only shrink),
   // then minimized. Success branches are dropped — the same conservative
   // delete-term-free treatment end_state_fault_tree() uses.
+  //
+  // Pruning bound: an event of functional event i's list is private when
+  // no other demanded functional event's list holds it and it is not the
+  // IE. A base b built from the IE and other lists never holds a private
+  // event of a, so p(b ∪ a) <= p(b) * bound(a), bound(a) being the product
+  // of a's private events. With each list sorted by decreasing bound, a
+  // base's scan stops at the first a whose bound cannot clear the cutoff
+  // (the 1e-9 slack absorbs rounding); every union still built passes the
+  // exact cutoff test. A gate two functional events reference counts as
+  // two lists, so its events are private to neither.
   const double cutoff = options_.analysis.cutoff;
-  std::vector<std::vector<cutset>> seq_cutsets(num_seq);
-  for_each_index(num_seq, [&](std::size_t s) {
-    std::vector<cutset> combos{{et_->initiating_event()}};
+  const double prune_below = cutoff * (1.0 - 1e-9);
+  const node_index ie = et_->initiating_event();
+  std::vector<std::size_t> lists_holding(expanded_.tree.size(), 0);
+  std::vector<std::size_t> last_list(expanded_.tree.size(), num_fe);
+  for (std::size_t i = 0; i < num_fe; ++i) {
+    if (demanded[i] == 0) continue;
+    for (const cutset& c : gate_cutsets.at(et_->functional_gate(i))) {
+      for (const node_index e : c) {
+        if (last_list[e] == i) continue;
+        last_list[e] = i;
+        ++lists_holding[e];
+      }
+    }
+  }
+  // Per demanded functional event: (bound, cutset) by decreasing bound.
+  std::vector<std::vector<std::pair<double, const cutset*>>> ranked(num_fe);
+  for (std::size_t i = 0; i < num_fe; ++i) {
+    if (demanded[i] == 0) continue;
+    for (const cutset& a : gate_cutsets.at(et_->functional_gate(i))) {
+      double bound = 1.0;
+      for (const node_index e : a) {
+        if (lists_holding[e] == 1 && e != ie) {
+          bound *= expanded_.tree.node(e).probability;
+        }
+      }
+      ranked[i].emplace_back(bound, &a);
+    }
+    std::stable_sort(
+        ranked[i].begin(), ranked[i].end(),
+        [](const auto& x, const auto& y) { return x.first > y.first; });
+  }
+
+  // Shared prefixes: sequences demanding the same failures up to
+  // functional event i share one list, keyed (prefix list, i) as in
+  // event_tree_bdd's prefix cache. Each list is minimized before it is
+  // extended — exact, since a non-minimal base only yields unions that a
+  // minimal base's unions subsume or repeat (and those clear the cutoff
+  // whenever the superset does).
+  std::vector<std::vector<cutset>> prefix_lists{{cutset{ie}}};
+  std::unordered_map<std::uint64_t, std::size_t> prefix_ids;
+  std::vector<std::size_t> seq_list(num_seq, 0);
+  cutset unioned;
+  std::size_t unions = 0;
+  for (std::size_t s = 0; s < num_seq; ++s) {
+    std::size_t id = 0;
     const auto& outcomes = et_->sequence_outcomes(s);
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
+    for (std::size_t i = 0; i < num_fe; ++i) {
       if (outcomes[i] != branch_outcome::failure) continue;
-      const auto& gate_list = gate_cutsets.at(et_->functional_gate(i));
+      const std::uint64_t key = (static_cast<std::uint64_t>(id) << 32) | i;
+      if (auto it = prefix_ids.find(key); it != prefix_ids.end()) {
+        id = it->second;
+        continue;
+      }
       std::vector<cutset> next;
-      next.reserve(combos.size());
-      for (const auto& base : combos) {
-        for (const auto& add : gate_list) {
-          cutset merged = base;
-          merged.insert(merged.end(), add.begin(), add.end());
-          std::sort(merged.begin(), merged.end());
-          merged.erase(std::unique(merged.begin(), merged.end()),
-                       merged.end());
+      for (const cutset& base : prefix_lists[id]) {
+        const double p_base =
+            cutoff > 0.0 ? cutset_probability(expanded_.tree, base) : 1.0;
+        for (const auto& [bound, add] : ranked[i]) {
+          if (p_base * bound < prune_below) break;
+          unioned.clear();
+          std::set_union(base.begin(), base.end(), add->begin(), add->end(),
+                         std::back_inserter(unioned));
+          ++unions;
           if (cutoff > 0.0 &&
-              cutset_probability(expanded_.tree, merged) < cutoff) {
+              cutset_probability(expanded_.tree, unioned) < cutoff) {
             continue;
           }
-          next.push_back(std::move(merged));
+          next.push_back(unioned);
         }
         require_model(next.size() <= max_recombined_cutsets,
                       "scenario: sequence " + std::to_string(s) +
@@ -286,23 +345,29 @@ void scenario_engine::quantify_cutsets(scenario_result& out) {
                           std::to_string(max_recombined_cutsets) +
                           " cutsets; set a relevance cutoff");
       }
-      combos = std::move(next);
+      prefix_lists.push_back(minimize_cutsets(std::move(next)));
+      id = prefix_lists.size() - 1;
+      prefix_ids.emplace(key, id);
     }
-    seq_cutsets[s] = minimize_cutsets(std::move(combos));
-  });
+    seq_list[s] = id;
+  }
+  stats.scenario_cutset_unions += unions;
+  const auto seq_cutsets = [&](std::size_t s) -> const std::vector<cutset>& {
+    return prefix_lists[seq_list[s]];
+  };
 
   for (std::size_t s = 0; s < num_seq; ++s) {
-    out.sequences[s].num_cutsets = seq_cutsets[s].size();
+    out.sequences[s].num_cutsets = seq_cutsets(s).size();
     out.sequences[s].mcs_probability =
-        rare_event_probability(expanded_.tree, seq_cutsets[s]);
-    stats.scenario_sequence_cutsets += seq_cutsets[s].size();
+        rare_event_probability(expanded_.tree, seq_cutsets(s));
+    stats.scenario_sequence_cutsets += seq_cutsets(s).size();
   }
   for (std::size_t e = 0; e < es_names_.size(); ++e) {
     std::vector<cutset> merged;
     for (std::size_t s = 0; s < num_seq; ++s) {
       if (et_->end_state(s) != es_names_[e]) continue;
-      merged.insert(merged.end(), seq_cutsets[s].begin(),
-                    seq_cutsets[s].end());
+      merged.insert(merged.end(), seq_cutsets(s).begin(),
+                    seq_cutsets(s).end());
     }
     merged = minimize_cutsets(std::move(merged));
     out.end_states[e].num_cutsets = merged.size();
@@ -317,8 +382,8 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
                                             std::uint64_t seed) {
   obs::span_scope span("scenario.uq", "scenario");
   stopwatch timer;
-  const std::size_t num_seq = seq_refs_.size();
-  const std::size_t num_es = es_refs_.size();
+  const std::size_t num_seq = et_->num_sequences();
+  const std::size_t num_es = es_names_.size();
   const std::vector<double> base = original_probs();
 
   // One row per sample. Every draw comes from the substream keyed by
@@ -350,14 +415,12 @@ void scenario_engine::propagate_uncertainty(scenario_result& out,
           break;
       }
     }
-    const std::vector<double> probs = expanded_probs(drawn);
-    for (std::size_t s = 0; s < num_seq; ++s) {
-      seq_samples[k * num_seq + s] =
-          compiled_->probability(seq_refs_[s], probs);
-    }
-    for (std::size_t e = 0; e < num_es; ++e) {
-      es_samples[k * num_es + e] = compiled_->probability(es_refs_[e], probs);
-    }
+    const std::vector<double> values =
+        compiled_->probabilities(roots_, expanded_probs(drawn));
+    std::copy(values.begin(), values.begin() + num_seq,
+              seq_samples.begin() + k * num_seq);
+    std::copy(values.begin() + num_seq, values.end(),
+              es_samples.begin() + k * num_es);
   });
 
   const auto band = [samples](std::vector<double> column) {
@@ -407,17 +470,13 @@ std::vector<scenario_point_result> scenario_engine::evaluate_points(
     for (const auto& [node, p] : point.overrides) drawn[node] = p;
     // Overrides address the ORIGINAL tree: a perturbed CCF member flows
     // through the expansion trace, rescaling every derived CCF event.
-    const std::vector<double> probs = expanded_probs(drawn);
+    const std::vector<double> values =
+        compiled_->probabilities(roots_, expanded_probs(drawn));
+    const auto es_begin = values.begin() + et_->num_sequences();
     scenario_point_result& r = out[i];
     r.label = point.label;
-    r.sequence_probabilities.reserve(seq_refs_.size());
-    for (const bdd_ref f : seq_refs_) {
-      r.sequence_probabilities.push_back(compiled_->probability(f, probs));
-    }
-    r.end_state_probabilities.reserve(es_refs_.size());
-    for (const bdd_ref f : es_refs_) {
-      r.end_state_probabilities.push_back(compiled_->probability(f, probs));
-    }
+    r.sequence_probabilities.assign(values.begin(), es_begin);
+    r.end_state_probabilities.assign(es_begin, values.end());
   });
   return out;
 }

@@ -20,7 +20,7 @@ namespace sdft {
 /// Options of a scenario (event-tree) quantification run.
 struct scenario_options {
   /// Shared pipeline options: backend and prep flags for the per-gate
-  /// cutset lists, threads for the batched per-sequence evaluations,
+  /// cutset lists, threads for the UQ samples and parameter points,
   /// cutoff for cutset recombination, publish_metrics / inline_execution
   /// with their usual meanings. `exact_static` is accepted but redundant:
   /// the scenario engine's primary path is already BDD-exact.
@@ -93,10 +93,11 @@ struct scenario_point_result {
 /// CCF probability exactly), the event tree is re-anchored on the
 /// expanded tree, and every functional-event gate is compiled exactly
 /// once into one shared multi-root BDD with prefix-product sharing across
-/// sequences. run() then batches the per-sequence/per-end-state
-/// quantifications on the work-stealing pool with index-ordered
-/// reduction — bit-identical at any thread count, and bit-identical to
-/// per-sequence one-shot compilations (BDD operations are canonical).
+/// sequences. run() then values every sequence and end state in one pass
+/// over that BDD per parameter point (UQ samples fan out over the
+/// work-stealing pool with index-ordered writes) — bit-identical at any
+/// thread count, and bit-identical to per-sequence one-shot compilations
+/// (BDD operations are canonical).
 ///
 /// Requires a static fault tree (dynamic events are rejected with a model
 /// error; event-tree workloads are static PSA).
@@ -131,7 +132,9 @@ class scenario_engine {
 
  private:
   /// Per-gate MCS lists through the engine (each distinct demanded gate
-  /// analysed once), recombined across each sequence's failed branches.
+  /// analysed once), recombined across each sequence's failed branches:
+  /// bound-pruned against the cutoff, one minimized list per shared
+  /// failure prefix.
   void quantify_cutsets(scenario_result& out);
 
   /// The Monte-Carlo UQ layer: one draw per (sample, parameter) substream,
@@ -156,9 +159,10 @@ class scenario_engine {
   ccf_expansion expanded_;
   std::optional<event_tree> et_;           ///< anchored on expanded_.tree
   std::optional<event_tree_bdd> compiled_;
-  std::vector<bdd_ref> seq_refs_;
   std::vector<std::string> es_names_;      ///< first-appearance order
-  std::vector<bdd_ref> es_refs_;
+  /// Every sequence's BDD, then every end state's: what one probabilities()
+  /// pass evaluates per parameter point.
+  std::vector<bdd_ref> roots_;
   std::vector<double> base_expanded_probs_;
 
   /// Distributions resolved to original-tree node indices.

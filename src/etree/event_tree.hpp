@@ -96,8 +96,8 @@ class event_tree {
 /// one-pass mode relies on.
 ///
 /// Compilation (sequence()/end_state()) mutates the manager and is not
-/// thread-safe; probability() is const and safe to call concurrently once
-/// compilation is done.
+/// thread-safe; probability() and probabilities() are const and safe to
+/// call concurrently once compilation is done.
 class event_tree_bdd {
  public:
   explicit event_tree_bdd(const event_tree& et);
@@ -112,11 +112,15 @@ class event_tree_bdd {
   /// Probability of `f` under the referenced tree's own probabilities.
   double probability(bdd_ref f) const;
 
-  /// Probability of `f` with per-node probability overrides indexed by
-  /// node_index of the referenced tree (only basic events reachable from
-  /// the event tree's roots are read).
-  double probability(bdd_ref f, const std::vector<double>& node_probs) const {
-    return bdd_.probability(f, node_probs);
+  /// Probabilities of every ref in `roots` with per-node probability
+  /// overrides indexed by node_index of the referenced tree (only basic
+  /// events reachable from the event tree's roots are read), in one pass
+  /// over the shared diagram: each node is valued once, however many roots
+  /// share it.
+  std::vector<double> probabilities(
+      const std::vector<bdd_ref>& roots,
+      const std::vector<double>& node_probs) const {
+    return bdd_.probabilities(roots, node_probs);
   }
 
   std::size_t nodes() const { return bdd_.node_count(); }

@@ -402,14 +402,20 @@ std::string metrics_registry::to_json() const {
   }
   for (const auto& [name, h] : impl_->histograms) {
     key(name);
-    std::snprintf(buf, sizeof buf,
-                  "{\"count\":%llu,\"sum\":%.17g,\"min\":%.17g,",
-                  static_cast<unsigned long long>(h.count()), h.sum(),
-                  h.min());
+    // One number per snprintf: five %.17g fields (up to 24 bytes each)
+    // would not fit one buffer.
+    std::snprintf(buf, sizeof buf, "{\"count\":%llu",
+                  static_cast<unsigned long long>(h.count()));
     out += buf;
-    std::snprintf(buf, sizeof buf, "\"max\":%.17g,\"mean\":%.17g}", h.max(),
-                  h.mean());
-    out += buf;
+    for (const auto& [field, v] :
+         {std::pair<const char*, double>{"sum", h.sum()},
+          {"min", h.min()},
+          {"max", h.max()},
+          {"mean", h.mean()}}) {
+      std::snprintf(buf, sizeof buf, ",\"%s\":%.17g", field, v);
+      out += buf;
+    }
+    out += "}";
   }
   for (const auto& [name, value] : impl_->labels) {
     key(name);

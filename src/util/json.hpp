@@ -21,6 +21,10 @@ class value;
 using object = std::map<std::string, value>;
 using array = std::vector<value>;
 
+/// Deepest array/object nesting parse() accepts; deeper input is a parse
+/// error. The repo's own writers and requests nest a few levels.
+inline constexpr std::size_t max_depth = 512;
+
 class value {
  public:
   enum class kind { null, boolean, number, string, array, object };
@@ -136,9 +140,18 @@ class parser {
     skip_ws();
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // Each level costs a stack frame of this recursive descent: a
+        // hostile line nested 200k deep would overflow the stack.
+        if (depth_ == max_depth) {
+          fail("nesting deeper than " + std::to_string(max_depth) +
+               " levels");
+        }
+        ++depth_;
+        value v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return value(parse_string());
       case 't':
@@ -281,6 +294,7 @@ class parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open arrays/objects around pos_
 };
 
 }  // namespace detail

@@ -130,6 +130,13 @@ class xml_parser {
 
   xml_node parse_element() {
     if (peek() != '<') fail("expected '<'");
+    // Each level costs a stack frame of this recursive descent: a hostile
+    // file nested 200k deep would overflow the stack.
+    if (depth_ == xml_max_depth) {
+      fail("elements nested deeper than " + std::to_string(xml_max_depth) +
+           " levels");
+    }
+    ++depth_;
     ++pos_;
     xml_node node;
     node.tag = parse_name();
@@ -139,6 +146,7 @@ class xml_parser {
       if (c == '/') {
         if (!starts_with("/>")) fail("expected '/>'");
         pos_ += 2;
+        --depth_;
         return node;  // self-closing
       }
       if (c == '>') {
@@ -165,6 +173,7 @@ class xml_parser {
         skip_whitespace();
         if (peek() != '>') fail("expected '>' in close tag");
         ++pos_;
+        --depth_;
         return node;
       }
       if (peek() == '<') {
@@ -179,6 +188,7 @@ class xml_parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< open elements around pos_
 };
 
 }  // namespace

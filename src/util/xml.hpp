@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +30,11 @@ struct xml_node {
     return attributes.find(name) != attributes.end();
   }
 };
+
+/// Deepest element nesting parse_xml() accepts (the root counts as one);
+/// deeper input is a parse error. Open-PSA files nest a few levels per
+/// formula.
+inline constexpr std::size_t xml_max_depth = 512;
 
 /// Parses one XML document (a single root element). Throws model_error
 /// with a character offset on malformed input.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 
 #include "bdd/bdd.hpp"
@@ -63,6 +64,131 @@ TEST(Bdd, ProbabilityShannon) {
   EXPECT_NEAR(m.probability(m.bdd_or(x, y), p), 0.65, 1e-15);
   EXPECT_NEAR(m.probability(m.one(), p), 1.0, 1e-15);
   EXPECT_NEAR(m.probability(m.zero(), p), 0.0, 1e-15);
+}
+
+/// Every non-terminal node's children precede it: the order the one-pass
+/// probabilities() sweep relies on.
+void expect_children_precede_parents(const bdd_manager& m) {
+  for (bdd_ref g = 2; g < m.size(); ++g) {
+    const auto [low, high] = m.children(g);
+    EXPECT_LT(low, g);
+    EXPECT_LT(high, g);
+  }
+}
+
+/// P[f] by enumerating every assignment of `num_vars` variables, each
+/// evaluated by restricting f down to a terminal.
+double brute_force_probability(bdd_manager& m, bdd_ref f,
+                               const std::vector<double>& probs) {
+  const auto num_vars = static_cast<std::uint32_t>(probs.size());
+  double total = 0.0;
+  for (std::uint32_t mask = 0; mask < (1U << num_vars); ++mask) {
+    bdd_ref g = f;
+    double weight = 1.0;
+    for (std::uint32_t v = 0; v < num_vars; ++v) {
+      const bool on = ((mask >> v) & 1U) != 0;
+      g = m.restrict_var(g, v, on);
+      weight *= on ? probs[v] : 1.0 - probs[v];
+    }
+    if (g == m.one()) total += weight;
+  }
+  return total;
+}
+
+class BddSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(BddSweep, ProbabilitiesMatchPerRootAndBruteForce) {
+  rng random(0x5eed + static_cast<std::uint64_t>(GetParam()));
+  bdd_manager m;
+  const auto num_vars = static_cast<std::uint32_t>(random.between(3, 7));
+  std::vector<double> probs;
+  std::vector<bdd_ref> pool;
+  for (std::uint32_t v = 0; v < num_vars; ++v) {
+    probs.push_back(random.uniform(0.01, 0.99));
+    pool.push_back(m.var(v));
+  }
+  // Random and/or/not combinations over shared subfunctions; the roots
+  // are the last few built.
+  for (int k = 0; k < 24; ++k) {
+    const bdd_ref a = pool[random.below(pool.size())];
+    const bdd_ref b = pool[random.below(pool.size())];
+    switch (random.between(0, 2)) {
+      case 0:
+        pool.push_back(m.bdd_and(a, b));
+        break;
+      case 1:
+        pool.push_back(m.bdd_or(a, b));
+        break;
+      default:
+        pool.push_back(m.bdd_not(a));
+    }
+  }
+  std::vector<bdd_ref> roots(pool.end() - 6, pool.end());
+  roots.push_back(m.zero());
+  roots.push_back(m.one());
+  expect_children_precede_parents(m);
+
+  const std::vector<double> swept = m.probabilities(roots, probs);
+  ASSERT_EQ(swept.size(), roots.size());
+  for (std::size_t r = 0; r < roots.size(); ++r) {
+    EXPECT_EQ(swept[r], m.probability(roots[r], probs)) << "root " << r;
+    EXPECT_NEAR(swept[r], brute_force_probability(m, roots[r], probs), 1e-12)
+        << "root " << r;
+  }
+
+  // Sifting's elementary step: the swapped diagram, read with the two
+  // variables' probabilities exchanged, denotes the same function.
+  const std::uint32_t v = static_cast<std::uint32_t>(
+      random.below(num_vars - 1));
+  const bdd_ref swapped = m.swap_adjacent(roots.front(), v);
+  expect_children_precede_parents(m);
+  std::vector<double> swapped_probs = probs;
+  std::swap(swapped_probs[v], swapped_probs[v + 1]);
+  EXPECT_NEAR(m.probabilities({swapped}, swapped_probs).front(), swept.front(),
+              1e-12);
+
+  // compact() renumbers the kept nodes but keeps the diagram: the sweep
+  // must still see children first and give the same bits.
+  const bdd_ref kept = m.compact(roots.front());
+  expect_children_precede_parents(m);
+  EXPECT_EQ(m.probabilities({kept}, probs).front(), swept.front());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BddSweep, ::testing::Range(0, 30));
+
+TEST(FtBdd, SweepAfterSiftingMatchesBruteForce) {
+  // ft_bdd's sift ordering swaps and compacts the compiled diagram; its
+  // probability goes through the same one-pass sweep.
+  rng random(0x51f7);
+  std::size_t swaps = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    fault_tree ft;
+    std::vector<node_index> pool;
+    for (int e = 0; e < 8; ++e) {
+      pool.push_back(ft.add_basic_event("e" + std::to_string(e),
+                                        random.uniform(0.05, 0.5)));
+    }
+    node_index last = fault_tree::npos;
+    for (int g = 0; g < 6; ++g) {
+      std::vector<node_index> inputs;
+      for (int i = 0; i < 3; ++i) {
+        inputs.push_back(pool[random.below(pool.size())]);
+      }
+      std::sort(inputs.begin(), inputs.end());
+      inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
+      last = ft.add_gate("g" + std::to_string(g),
+                         random.chance(0.5) ? gate_type::and_gate
+                                            : gate_type::or_gate,
+                         inputs);
+      pool.push_back(last);
+    }
+    ft.set_top(last);
+    const ft_bdd sifted(ft, fault_tree::npos, bdd_ordering::sift);
+    EXPECT_NEAR(sifted.probability(), ft.probability_brute_force(), 1e-12)
+        << "trial " << trial;
+    swaps += sifted.sift_swaps();
+  }
+  EXPECT_GT(swaps, 0u);
 }
 
 TEST(Bdd, MinimalSolutionsOfRedundantFunction) {

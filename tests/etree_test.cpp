@@ -11,9 +11,9 @@
 #include "core/analyzer.hpp"
 #include "etree/event_tree.hpp"
 #include "mcs/mocus.hpp"
+#include "random_event_tree.hpp"
 #include "test_models.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace sdft {
 namespace {
@@ -248,70 +248,22 @@ TEST(EventTree, DemandTriggersSkipSharedEvents) {
   EXPECT_TRUE(suggest_demand_triggers(et, tree).empty());
 }
 
-/// Random small event trees against full state enumeration: at most 12
-/// basic events (IE included), functional gates drawn from AND/OR/atleast
-/// over shared subtrees, and failure/success/bypass branches. Negated
-/// branches over k-of-n gates are where an atleast-as-OR lowering hides,
-/// so every draw mixes them.
+/// Random small event trees (tests/random_event_tree.hpp) against full
+/// state enumeration. Negated branches over k-of-n gates are where an
+/// atleast-as-OR lowering hides, so every draw mixes them.
 class EventTreeOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventTreeOracle, ExactProbabilitiesMatchStateEnumeration) {
-  rng random(0xe7ee + static_cast<std::uint64_t>(GetParam()));
-  fault_tree ft;
-  const node_index ie = ft.add_basic_event("IE", random.uniform(0.2, 0.9));
-  std::vector<node_index> pool;
-  const auto num_events = random.between(4, 11);
-  for (std::int64_t i = 0; i < num_events; ++i) {
-    pool.push_back(ft.add_basic_event("e" + std::to_string(i),
-                                      random.uniform(0.05, 0.6)));
-  }
-  std::vector<node_index> gates;
-  for (int g = 0; g < 8; ++g) {
-    std::vector<node_index> inputs;
-    for (std::int64_t i = 0, n = random.between(2, 4); i < n; ++i) {
-      inputs.push_back(pool[random.below(pool.size())]);
-    }
-    std::sort(inputs.begin(), inputs.end());
-    inputs.erase(std::unique(inputs.begin(), inputs.end()), inputs.end());
-    const std::string name = "g" + std::to_string(g);
-    switch (random.between(0, 2)) {
-      case 0:
-        gates.push_back(ft.add_gate(name, gate_type::and_gate, inputs));
-        break;
-      case 1:
-        gates.push_back(ft.add_gate(name, gate_type::or_gate, inputs));
-        break;
-      default: {
-        const auto k = static_cast<std::uint32_t>(random.between(
-            1, static_cast<std::int64_t>(inputs.size())));
-        gates.push_back(ft.add_atleast_gate(name, k, inputs));
-      }
-    }
-    pool.push_back(gates.back());  // later gates share earlier subtrees
-  }
-  ft.set_top(ft.add_gate("ANY", gate_type::or_gate, gates));
-
+  const testing::random_event_tree drawn = testing::make_random_event_tree(
+      0xe7ee + static_cast<std::uint64_t>(GetParam()));
+  const fault_tree& ft = drawn.ft;
+  const node_index ie = drawn.ie;
   event_tree et(ft, ie, "ORACLE");
-  std::vector<node_index> functional = gates;
-  for (std::size_t i = functional.size(); i > 1; --i) {
-    std::swap(functional[i - 1], functional[random.below(i)]);
+  for (std::size_t i = 0; i < drawn.functional.size(); ++i) {
+    et.add_functional_event("F" + std::to_string(i), drawn.functional[i]);
   }
-  functional.resize(static_cast<std::size_t>(random.between(2, 4)));
-  for (std::size_t i = 0; i < functional.size(); ++i) {
-    et.add_functional_event("F" + std::to_string(i), functional[i]);
-  }
-  const char* end_states[] = {"OK", "CD", "LOCA"};
-  std::vector<std::vector<branch_outcome>> drawn;
-  for (std::int64_t s = 0, n = random.between(3, 8); s < n; ++s) {
-    std::vector<branch_outcome> outcomes;
-    for (std::size_t i = 0; i < functional.size(); ++i) {
-      outcomes.push_back(static_cast<branch_outcome>(random.between(0, 2)));
-    }
-    if (std::find(drawn.begin(), drawn.end(), outcomes) != drawn.end()) {
-      continue;
-    }
-    drawn.push_back(outcomes);
-    et.add_sequence(outcomes, end_states[random.below(3)]);
+  for (const auto& s : drawn.sequences) {
+    et.add_sequence(s.outcomes, s.end_state);
   }
 
   // Oracle: sum the probability of every basic-event state reaching each

@@ -204,6 +204,24 @@ TEST(ObsMetrics, JsonDumpRoundTripsThroughParser) {
   EXPECT_EQ(doc.at("d.label").as_string(), "bdd");
 }
 
+TEST(ObsMetrics, HistogramJsonCarriesFullPrecisionNumbers) {
+  // Seventeen significant digits per field: the histogram object then
+  // needs more than 64 bytes, which one shared format buffer truncated
+  // into invalid JSON.
+  obs::metrics_registry registry;
+  obs::histogram& h = registry.get_histogram("precise.hist");
+  h.observe(0.0012345678901234567);
+  h.observe(0.00012345678901234567);
+
+  const json::value doc = json::parse(registry.to_json());
+  const json::value& hist = doc.at("precise.hist");
+  EXPECT_EQ(hist.at("count").as_number(), 2.0);
+  EXPECT_EQ(hist.at("sum").as_number(), h.sum());
+  EXPECT_EQ(hist.at("min").as_number(), h.min());
+  EXPECT_EQ(hist.at("max").as_number(), h.max());
+  EXPECT_EQ(hist.at("mean").as_number(), h.mean());
+}
+
 analysis_result run_bwr(std::size_t threads) {
   bwr_options bopt;
   bopt.dynamic_events = true;

@@ -1,11 +1,13 @@
 // Scenario-engine tests: the .etree parser (round trip, line-numbered
 // errors), bit-agreement of the one-pass engine with per-sequence one-shot
 // compilations, the CCF beta/alpha closed forms (exact and MCS-approx),
-// the UQ layer's seed/thread determinism, and point re-evaluation off the
-// compiled structure.
+// the UQ layer's seed/thread determinism, point re-evaluation off the
+// compiled structure, and the MCS column against the plain cartesian
+// recombination it replaced (tests/scenario_cutsets_reference.hpp).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -14,6 +16,9 @@
 #include "etree/event_tree.hpp"
 #include "etree/scenario.hpp"
 #include "ft/ccf.hpp"
+#include "mcs/cutset.hpp"
+#include "random_event_tree.hpp"
+#include "scenario_cutsets_reference.hpp"
 #include "util/error.hpp"
 
 namespace sdft {
@@ -357,6 +362,148 @@ TEST(ScenarioEngine, BackendAndThreadMatrixIsBitIdentical) {
       }
     }
   }
+}
+
+/// A scenario over a tests/random_event_tree.hpp draw, with a
+/// beta-factor CCF group over e0 and e1 (the draw always has them; e1
+/// takes e0's probability, as a group's members must share one). On even
+/// seeds the last functional event re-uses the first one's gate: one
+/// gate, two lists, so its events are private to neither.
+scenario_model random_scenario(int seed) {
+  testing::random_event_tree drawn = testing::make_random_event_tree(
+      0x5ce0 + static_cast<std::uint64_t>(seed));
+  fault_tree& ft = drawn.ft;
+  ft.set_probability(ft.find("e1"), ft.node(ft.find("e0")).probability);
+  scenario_description sc;
+  sc.name = "ORACLE";
+  sc.initiating_event = ft.node(drawn.ie).name;
+  for (std::size_t i = 0; i < drawn.functional.size(); ++i) {
+    sc.functional.push_back(
+        {"F" + std::to_string(i), ft.node(drawn.functional[i]).name});
+  }
+  if (seed % 2 == 0) sc.functional.back().gate = sc.functional.front().gate;
+  for (const auto& q : drawn.sequences) {
+    sc.sequences.push_back({q.end_state, q.outcomes});
+  }
+  ccf_group_description group;
+  group.name = "CCF";
+  group.beta = 0.2;
+  group.members = {"e0", "e1"};
+  sc.ccf.push_back(group);
+  return {sd_fault_tree(std::move(drawn.ft)), std::move(sc)};
+}
+
+/// Bit-for-bit agreement of one engine's MCS column with the reference.
+void expect_matches_reference(const scenario_engine& engine,
+                              const scenario_result& r,
+                              const std::string& label) {
+  const testing::cutset_column ref = testing::cutset_column_reference(engine);
+  const fault_tree& tree = engine.expanded_tree();
+  ASSERT_EQ(r.sequences.size(), ref.sequences.size()) << label;
+  for (std::size_t s = 0; s < r.sequences.size(); ++s) {
+    EXPECT_EQ(r.sequences[s].num_cutsets, ref.sequences[s].size())
+        << label << " sequence " << s;
+    EXPECT_EQ(r.sequences[s].mcs_probability,
+              rare_event_probability(tree, ref.sequences[s]))
+        << label << " sequence " << s;
+  }
+  ASSERT_EQ(r.end_states.size(), ref.end_states.size()) << label;
+  for (std::size_t e = 0; e < r.end_states.size(); ++e) {
+    EXPECT_EQ(r.end_states[e].num_cutsets, ref.end_states[e].size())
+        << label << " end state " << e;
+    EXPECT_EQ(r.end_states[e].mcs_probability,
+              rare_event_probability(tree, ref.end_states[e]))
+        << label << " end state " << e;
+  }
+}
+
+class ScenarioCutsetOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(ScenarioCutsetOracle, MatchesCartesianRecombination) {
+  const scenario_model model = random_scenario(GetParam());
+  const auto engine_at = [&](double cutoff, std::size_t threads) {
+    scenario_options opts;
+    opts.analysis.cutoff = cutoff;
+    opts.analysis.threads = threads;
+    opts.analysis.inline_execution = threads == 1;
+    opts.analysis.publish_metrics = false;
+    return std::make_unique<scenario_engine>(model, opts);
+  };
+
+  // A cutoff exactly at the probability of the median sequence cutset,
+  // and one ulp to either side: the bound's slack must not move it.
+  const auto unpruned = engine_at(0.0, 1);
+  std::vector<double> cutset_probs;
+  for (const auto& list :
+       testing::cutset_column_reference(*unpruned).sequences) {
+    for (const cutset& c : list) {
+      cutset_probs.push_back(
+          cutset_probability(unpruned->expanded_tree(), c));
+    }
+  }
+  ASSERT_FALSE(cutset_probs.empty());
+  std::sort(cutset_probs.begin(), cutset_probs.end());
+  const double at = cutset_probs[cutset_probs.size() / 2];
+
+  for (const double cutoff : {0.0, 1e-3, at, std::nextafter(at, 0.0),
+                              std::nextafter(at, 1.0)}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const auto engine = engine_at(cutoff, threads);
+      const scenario_result r = engine->run();
+      char label[96];
+      std::snprintf(label, sizeof label, "seed %d cutoff %a threads %zu",
+                    GetParam(), cutoff, threads);
+      expect_matches_reference(*engine, r, label);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ScenarioCutsetOracle, ::testing::Range(0, 24));
+
+TEST(ScenarioEngine, RecombinationGuardNamesTheSequence) {
+  // Three functional events on OR gates of 102 events each: at cutoff 0
+  // the all-failed sequence recombines to 102^3 = 1,061,208 cutsets, past
+  // the 2^20 guard. A cutoff that no full union clears keeps it quiet.
+  std::string text = "be IE 1e-2\n";
+  for (const char* sys : {"A", "B", "C"}) {
+    std::string gate = std::string("or ") + sys + "_F";
+    for (int i = 0; i < 102; ++i) {
+      const std::string event = sys + std::to_string(i);
+      text += "be " + event + " 1e-3\n";
+      gate += " " + event;
+    }
+    text += gate + "\n";
+  }
+  text +=
+      "or TOP A_F B_F C_F\ntop TOP\n\netree WIDE\ninitiating IE\n"
+      "functional FA A_F\nfunctional FB B_F\nfunctional FC C_F\n"
+      "sequence OK S - -\nsequence OK F S -\nsequence OK F F S\n"
+      "sequence CD F F F\n";
+
+  scenario_options opts;
+  opts.analysis.cutoff = 0.0;
+  opts.analysis.publish_metrics = false;
+  scenario_engine wide(parse_scenario_string(text), opts);
+  try {
+    (void)wide.run();
+    FAIL() << "expected the recombination guard to fire";
+  } catch (const model_error& e) {
+    EXPECT_NE(std::string(e.what()).find("sequence 3 recombines to more than "
+                                         "1048576 cutsets"),
+              std::string::npos)
+        << e.what();
+  }
+
+  // At 1e-10 every full union (1e-11) is pruned: the {IE} x A_F and
+  // then x B_F lists are built once each (102 + 102^2 unions, shared by
+  // the sequences through their common prefix), and each base of the
+  // latter stops its C_F scan at once.
+  opts.analysis.cutoff = 1e-10;
+  const scenario_result pruned =
+      run_scenario(parse_scenario_string(text), opts);
+  EXPECT_EQ(pruned.sequences[2].num_cutsets, 102u * 102u);
+  EXPECT_EQ(pruned.sequences[3].num_cutsets, 0u);
+  EXPECT_EQ(pruned.stats.scenario_cutset_unions, 102u + 102u * 102u);
 }
 
 }  // namespace

@@ -227,6 +227,23 @@ TEST(Serve, IdEchoAndErrorTaxonomy) {
   EXPECT_EQ(service.errors(), errors_before + 7);
 }
 
+TEST(Serve, DeeplyNestedRequestIsAnErrorNotACrash) {
+  // One line nested far past json::max_depth used to overflow the
+  // parser's stack and kill the process; it is now an ordinary parse
+  // error and the same service answers the next request.
+  serve::analysis_service service = make_service();
+  const std::size_t depth = 200000;
+  const std::string line = R"({"op":"health","id":)" +
+                           std::string(depth, '[') + std::string(depth, ']') +
+                           "}";
+  const json::value r = handle(service, line);
+  EXPECT_FALSE(r.at("ok").as_bool());
+  EXPECT_NE(r.at("error").as_string().find("nesting deeper"),
+            std::string::npos)
+      << r.at("error").as_string();
+  EXPECT_TRUE(handle(service, R"({"op":"health"})").at("ok").as_bool());
+}
+
 TEST(Serve, HealthStatsAndShutdown) {
   serve::analysis_service service = make_service();
   service.load_text("m", example_text());

@@ -6,15 +6,18 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/fox_glynn.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/sorted_set.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
+#include "util/xml.hpp"
 
 namespace sdft {
 namespace {
@@ -323,6 +326,49 @@ TEST(Formatting, SciAndDuration) {
   EXPECT_EQ(sci(4.09e-9), "4.09e-09");
   EXPECT_EQ(duration_str(7.9), "7.9s");
   EXPECT_EQ(duration_str(132.0), "2m 12s");
+}
+
+std::string nested_json(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+std::string nested_xml(std::size_t depth) {
+  std::string text;
+  for (std::size_t i = 0; i < depth; ++i) text += "<a>";
+  for (std::size_t i = 0; i < depth; ++i) text += "</a>";
+  return text;
+}
+
+TEST(JsonParser, NestingIsCappedAtMaxDepth) {
+  EXPECT_NO_THROW((void)json::parse(nested_json(json::max_depth)));
+  try {
+    (void)json::parse(nested_json(json::max_depth + 1));
+    FAIL() << "expected a parse error";
+  } catch (const error& e) {
+    EXPECT_NE(std::string(e.what()).find("json parse error"),
+              std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("nesting deeper"), std::string::npos)
+        << e.what();
+  }
+  // Deep enough to overflow the stack of an uncapped recursive descent.
+  EXPECT_THROW((void)json::parse(nested_json(200000)), error);
+  EXPECT_THROW((void)json::parse("{\"id\":" + nested_json(200000) + "}"),
+               error);
+}
+
+TEST(XmlParser, NestingIsCappedAtMaxDepth) {
+  EXPECT_NO_THROW((void)parse_xml(nested_xml(xml_max_depth)));
+  try {
+    (void)parse_xml(nested_xml(xml_max_depth + 1));
+    FAIL() << "expected a parse error";
+  } catch (const model_error& e) {
+    EXPECT_NE(std::string(e.what()).find("xml parse error"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("nested deeper"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)parse_xml(nested_xml(200000)), model_error);
 }
 
 }  // namespace

@@ -773,6 +773,7 @@ void print_scenario_stats(const engine_stats& s) {
                      " members expanded)"});
   table.add_row(
       {"sequence cutsets", std::to_string(s.scenario_sequence_cutsets)});
+  table.add_row({"cutset unions", std::to_string(s.scenario_cutset_unions)});
   if (s.uq_samples > 0) {
     table.add_row({"uq samples x parameters",
                    std::to_string(s.uq_samples) + " x " +
